@@ -191,19 +191,22 @@ def _check_due(check: str, t: int, total: int) -> bool:
 # -- checks -------------------------------------------------------------------
 
 
-def locality_violations(structure: DynamicLightSpanner, pid: int) -> list[str]:
+def locality_violations(space, report: UpdateReport) -> list[str]:
     """Net membership changes must stay within 2**level of the updated point."""
+    pid = report.point
     out = []
-    for level, member, _ in structure.last_net_changes:
-        if structure.space.distance(member, pid) > float(1 << level):
+    for level, member, _ in report.net_changes:
+        if space.distance(member, pid) > float(1 << level):
             out.append(f"locality {level} {member} around {pid}")
     return out
 
 
-def check_structure(structure: DynamicLightSpanner, pid: int | None = None) -> list[str]:
+def check_structure(
+    structure: DynamicLightSpanner, report: UpdateReport | None = None
+) -> list[str]:
     msgs: list[str] = []
-    if pid is not None:
-        msgs += locality_violations(structure, pid)
+    if report is not None:
+        msgs += locality_violations(structure.space, report)
     msgs += oracle.validate_net_hierarchy(structure.hierarchy)
     msgs += oracle.check_invariants(
         structure.space,
@@ -256,7 +259,7 @@ def run(config: ScenarioConfig) -> RunResult:
                     + "\n"
                 )
             if _check_due(config.check, t, len(plan)):
-                found = check_structure(structure, pid)
+                found = check_structure(structure, report)
                 violations += len(found)
                 messages += found
     finally:

@@ -14,9 +14,16 @@ Two update strategies share all bookkeeping:
   over the current output edges, memoising decisions so unchanged
   regions are not re-searched.
 * ``fast`` replaces the Dijkstra runs with cached coarse distance
-  estimates read off small sketch graphs; the estimates live on a
-  denser auxiliary candidate pool built with a much smaller eps and are
-  refreshed only near the updated point.
+  estimates read off small sketch graphs, refreshed only near the
+  updated point.  Estimates are kept for the pairs of a net spanner
+  built with a much smaller eps (``eps_small``); fast mode accepts only
+  phi at which that spanner holds every active pair, so the pool is read
+  as a view of the active set and never stored.
+
+Inserts are rejected, leaving the structure as it was (the id stays
+used), unless the new point is at distance in [1, phi) from every active
+point: closer points break the level-0 net, and pairs at phi or farther
+have a scale that no update visits.
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 
 from .metric import scale_of
-from .net_spanner import NetSpanner
-from .net_tree import NetHierarchy
+from .net_spanner import AllPairs, NetSpanner
+from .net_tree import Change, NetHierarchy
 from .oracle import mst_weight_prim
 
 Edge = tuple[int, int]
@@ -72,6 +79,7 @@ class UpdateReport:
     time_ns: int
     ball_queries: int
     relaxations: int
+    net_changes: list[Change]
 
 
 def _distance_matrix(space, ids: list[int]) -> np.ndarray:
@@ -100,17 +108,20 @@ class DynamicLightSpanner:
         self.mode = mode
         self.top = space.top_scale
         self.eps_small = self.eps / (3.0 * KAPPA * max(1, self.top))
+        if mode == "fast" and space.phi > 4.0 + 16.0 / self.eps_small:
+            # above this the eps_small net spanner misses some pairs, so
+            # the all-pairs view no longer stands for it
+            raise ValueError(
+                f"fast mode supports phi <= {4.0 + 16.0 / self.eps_small:g} at eps={eps}"
+            )
         self.counters: dict[str, int] = {"ball_queries": 0, "relaxations": 0}
-        self.hierarchy = NetHierarchy(
-            space, radius_factor=4.0 + 16.0 / self.eps_small, counters=self.counters
-        )
-        # base pool: candidates for the output; dense pool: carrier of
-        # the cached estimates (a superset of base at every moment)
-        self.base = NetSpanner(self.hierarchy, self.eps, indexed=True)
-        self.dense = NetSpanner(self.hierarchy, self.eps_small, indexed=(mode == "fast"))
+        self.hierarchy = NetHierarchy(space, counters=self.counters)
+        # base pool: candidates for the output; dense pool: the pairs that
+        # carry cached estimates, read only in fast mode
+        self.base = NetSpanner(self.hierarchy, self.eps)
+        self.dense = AllPairs(self.hierarchy)
         self.light: set[Edge] = set()
         self.estimates = EstimateStore()
-        self.last_net_changes: list[tuple[int, int, bool]] = []
         self._light_adj: dict[int, dict[int, tuple[float, int]]] = {}
         self._adds_per_scale = [0] * (self.top + 2)
         self._removes_per_scale = [0] * (self.top + 2)
@@ -164,8 +175,8 @@ class DynamicLightSpanner:
         q0 = self.counters["ball_queries"]
         r0 = self.counters["relaxations"]
         self.space.add_point(pid, coords)
+        self._reject_out_of_range(pid)
         changes = self.hierarchy.insert(pid)
-        self.last_net_changes = changes
         added: set[Edge] = set()
         removed: set[Edge] = set()
         self._sync_and_reselect(pid, changes, added, removed)
@@ -178,7 +189,21 @@ class DynamicLightSpanner:
             time_ns=time.perf_counter_ns() - t0,
             ball_queries=self.counters["ball_queries"] - q0,
             relaxations=self.counters["relaxations"] - r0,
+            net_changes=changes,
         )
+
+    def _reject_out_of_range(self, pid: int) -> None:
+        """Deactivate pid and raise unless it is within [1, phi) of every active point."""
+        dist = self.space.distance
+        phi = self.space.phi
+        for y in self.hierarchy.levels[0]:
+            d = dist(pid, y)
+            if not 1.0 <= d < phi:
+                self.space.remove_point(pid)
+                raise ValueError(
+                    f"point {pid} is at distance {d!r} from point {y}; "
+                    f"inserts need distances in [1, {phi:g})"
+                )
 
     def delete(self, pid: int) -> UpdateReport:
         t0 = time.perf_counter_ns()
@@ -186,7 +211,6 @@ class DynamicLightSpanner:
         r0 = self.counters["relaxations"]
         changes = self.hierarchy.delete(pid)
         self.space.remove_point(pid)
-        self.last_net_changes = changes
         added: set[Edge] = set()
         removed: set[Edge] = set()
         self._sync_and_reselect(pid, changes, added, removed)
@@ -199,12 +223,12 @@ class DynamicLightSpanner:
             time_ns=time.perf_counter_ns() - t0,
             ball_queries=self.counters["ball_queries"] - q0,
             relaxations=self.counters["relaxations"] - r0,
+            net_changes=changes,
         )
 
     def _sync_and_reselect(
         self, pid: int, changes, added: set[Edge], removed: set[Edge]
     ) -> None:
-        dense_added, dense_removed = self.dense.sync(changes)
         base_added, base_removed = self.base.sync(changes)
         for e in base_removed:
             self._memo.pop(e, None)
@@ -215,6 +239,7 @@ class DynamicLightSpanner:
                 else:
                     removed.add(e)
         if self.mode == "fast":
+            dense_added, dense_removed = self.dense.sync(changes)
             for e in dense_removed:
                 self.estimates.dstar.pop(e, None)
                 self.estimates.dlight.pop(e, None)

@@ -30,24 +30,20 @@ def _pair(u: int, v: int) -> Edge:
 class NetSpanner:
     """Edge set over hierarchy levels, kept in sync via witness counts.
 
-    When ``indexed`` is true the spanner additionally maintains a
-    per-(scale, point) partner index so that all edges of a given length
-    scale inside a metric ball can be enumerated without touching the
-    rest of the graph.
+    A per-(scale, point) partner index lets all edges of a given length
+    scale inside a metric ball be enumerated without touching the rest of
+    the graph.
     """
 
-    def __init__(self, hierarchy: NetHierarchy, eps: float, indexed: bool = True):
+    def __init__(self, hierarchy: NetHierarchy, eps: float):
         if eps <= 0.0:
             raise ValueError("eps must be positive")
         self.hierarchy = hierarchy
         self.eps = eps
         self.c = 4.0 + 16.0 / eps
-        if self.c > hierarchy.radius_factor:
-            raise ValueError("hierarchy neighbor lists are too short for this eps")
-        self.indexed = indexed
         # edge -> number of levels currently witnessing it
         self.witness: dict[Edge, int] = {}
-        # scale -> point -> partners, only when indexed
+        # scale -> point -> partners
         self.by_scale: dict[int, dict[int, set[int]]] = {}
 
     # -- bookkeeping ----------------------------------------------------
@@ -76,8 +72,7 @@ class NetSpanner:
         if count == 0:
             if e in self.witness:
                 del self.witness[e]
-                if self.indexed:
-                    self._index_remove(e[0], e[1], self.edge_scale(e[0], e[1]))
+                self._index_remove(e[0], e[1], self.edge_scale(e[0], e[1]))
                 if e in added:
                     added.discard(e)
                 else:
@@ -86,8 +81,7 @@ class NetSpanner:
             fresh = e not in self.witness
             self.witness[e] = count
             if fresh:
-                if self.indexed:
-                    self._index_add(e[0], e[1], self.edge_scale(e[0], e[1]))
+                self._index_add(e[0], e[1], self.edge_scale(e[0], e[1]))
                 if e in removed:
                     removed.discard(e)
                 else:
@@ -147,7 +141,7 @@ class NetSpanner:
                     e = (u, v)
                     fresh = e not in self.witness
                     self.witness[e] = self.witness.get(e, 0) + 1
-                    if fresh and self.indexed:
+                    if fresh:
                         self._index_add(u, v, self.edge_scale(u, v))
 
     # -- queries ---------------------------------------------------------
@@ -185,8 +179,6 @@ class NetSpanner:
         so by nesting both endpoints appear in that level's net; one ball
         query there plus the partner index covers all candidates.
         """
-        if not self.indexed:
-            raise RuntimeError("spanner was built without a scale index")
         per_point = self.by_scale.get(ascale)
         if not per_point:
             return []
@@ -211,3 +203,43 @@ class NetSpanner:
             d = dist(u, v)
             lines.append(f"{u} {v} {d!r} {scale_of(d)}")
         return "\n".join(lines)
+
+
+class AllPairs:
+    """Every pair of active points, as a stateless view of the hierarchy.
+
+    It has the interface of ``NetSpanner`` that the fast update path reads.
+    A ``NetSpanner`` with ``c >= phi`` holds exactly these pairs, since
+    level 0 is the whole active set and every active pair is closer than
+    phi; this view gives them without storing them.
+    """
+
+    def __init__(self, hierarchy: NetHierarchy):
+        self.hierarchy = hierarchy
+
+    def sync(self, changeset: list[Change]) -> tuple[list[Edge], list[Edge]]:
+        """Pairs gained and lost by the points whose level-0 membership changed."""
+        active = self.hierarchy.levels[0]
+        added: list[Edge] = []
+        removed: list[Edge] = []
+        for level, pid, was_added in changeset:
+            if level != 0:
+                continue
+            pairs = [_pair(pid, y) for y in active if y != pid]
+            (added if was_added else removed).extend(pairs)
+        return (sorted(added), sorted(removed))
+
+    def edge_count(self) -> int:
+        n = len(self.hierarchy.levels[0])
+        return n * (n - 1) // 2
+
+    def edges_at_scale_in_ball(self, ascale: int, center: int, r: float) -> list[Edge]:
+        """All active pairs of scale ``ascale`` with both endpoints within r of center."""
+        dist = self.hierarchy.space.distance
+        inside = sorted(self.hierarchy.ball(0, center, r))
+        out: list[Edge] = []
+        for k, u in enumerate(inside):
+            for v in inside[k + 1:]:
+                if scale_of(dist(u, v)) == ascale:
+                    out.append((u, v))
+        return out

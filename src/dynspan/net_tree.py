@@ -6,8 +6,11 @@ member of level i-1 has a level-i member within 2**i (covering). Level 0 is
 the whole active set, and levels nest: level i is contained in level i-1.
 
 Each member keeps a per-level neighbor list of the other members within
-radius_factor * 2**i. Ball queries never scan a whole level; they descend
-from the top level through these lists, shrinking a candidate set as they go.
+4 * 2**i. That reaches every member's covering parent (within 2 * 2**i of it,
+one level up), which is all that queries and updates need: ball queries
+never scan a whole level, they descend from the top populated level through
+these lists, shrinking a candidate set as they go, and are exact for any
+radius.
 """
 from __future__ import annotations
 
@@ -18,11 +21,8 @@ Change = tuple[int, int, bool]
 
 
 class NetHierarchy:
-    def __init__(self, space, radius_factor: float, counters: dict | None = None):
-        if radius_factor < 4.0:
-            raise ValueError("radius_factor must be at least 4 (covering headroom)")
+    def __init__(self, space, counters: dict | None = None):
         self.space = space
-        self.radius_factor = float(radius_factor)
         self.top = space.top_scale
         self.levels: list[set[int]] = [set() for _ in range(self.top + 1)]
         # neighbors[i][x] = set of y in levels[i], y != x, with d(x, y) <= list_radius(i)
@@ -30,7 +30,7 @@ class NetHierarchy:
         self.counters = counters if counters is not None else {}
 
     def list_radius(self, level: int) -> float:
-        return self.radius_factor * float(1 << level)
+        return 4.0 * float(1 << level)
 
     def contains(self, level: int, pid: int) -> bool:
         return pid in self.levels[level]
@@ -183,15 +183,10 @@ class NetHierarchy:
         """All level members within distance r of the center point.
 
         The center must have coordinates in the space (it may be inactive).
-        Radii beyond the maintained neighbor-list radius are a hard error.
+        Any radius is allowed.
         """
         if not 0 <= level <= self.top:
             raise ValueError(f"level {level} outside [0, {self.top}]")
-        if r > self.list_radius(level):
-            raise ValueError(
-                f"ball radius {r} exceeds maintained radius {self.list_radius(level)} "
-                f"at level {level}"
-            )
         self.counters["ball_queries"] = self.counters.get("ball_queries", 0) + 1
         if r < 0:
             return []

@@ -1,5 +1,6 @@
 """Scenario generation, the run loop, summaries, the sweep, and the CLI."""
 
+import dataclasses
 import json
 import math
 
@@ -9,14 +10,16 @@ from dynspan import cli
 from dynspan.harness import (
     ScenarioConfig,
     _check_due,
+    check_structure,
     generate_points,
     lightness_sweep,
+    locality_violations,
     plan_ops,
     run,
     summary_dict,
 )
 from dynspan.light_spanner import DynamicLightSpanner
-from dynspan.metric import format_points, validate_bounded
+from dynspan.metric import MetricSpace, format_points, validate_bounded
 
 
 def spaced(points):
@@ -181,6 +184,18 @@ def test_run_checked_scenario_is_clean():
     summary = run(config).summary
     assert summary.violations == 0 and summary.messages == []
     assert 0.0 < summary.max_stretch <= 2.5 + 1e-9
+
+
+def test_far_net_change_is_a_locality_violation():
+    structure = DynamicLightSpanner(MetricSpace(1, 8.0), 1.0)
+    for pid in range(4):
+        structure.insert(pid, (float(pid + 1),))
+    report = structure.delete(0)
+    assert check_structure(structure, report) == []
+    # point 3 sits 3 away from point 0, farther than 2**1
+    far = dataclasses.replace(report, net_changes=report.net_changes + [(1, 3, True)])
+    assert locality_violations(structure.space, far) == ["locality 1 3 around 0"]
+    assert check_structure(structure, far) == ["locality 1 3 around 0"]
 
 
 def test_run_fast_mode_folds_estimate_sweep_into_checks():

@@ -114,6 +114,45 @@ def test_insert_delete_round_trips_leave_nothing(mode):
         assert structure.estimates.dlight == {}
 
 
+@pytest.mark.parametrize("mode", ["exact", "fast"])
+def test_insert_rejects_out_of_range_points(mode):
+    structure, _ = build([1.0, 2.0, 4.0], 16.0, eps=0.5, mode=mode)
+
+    def state():
+        return (
+            set(structure.space.active),
+            structure.hierarchy.dump(),
+            dict(structure.base.witness),
+            structure.dense.edge_count(),
+            structure.light_edges(),
+            structure.dump_estimates(),
+        )
+
+    before = state()
+    # a duplicate point, then points at phi and beyond from point 0
+    for pid, x in [(3, 2.0), (4, 17.0), (5, 41.0)]:
+        with pytest.raises(ValueError):
+            structure.insert(pid, (x,))
+        assert state() == before
+    with pytest.raises(KeyError):
+        structure.insert(0, (40.0,))  # an active id
+    with pytest.raises(KeyError):
+        structure.insert(4, (8.0,))  # a rejected id stays used
+    structure.insert(6, (8.0,))
+    structure.delete(1)
+    assert_clean(structure)
+    if mode == "fast":
+        assert sweep_estimate_store(structure) == []
+
+
+def test_fast_mode_needs_the_dense_pool_complete():
+    for phi in (2.0**19, 2.0**20):
+        DynamicLightSpanner(MetricSpace(1, phi), 0.5, mode="exact")
+    DynamicLightSpanner(MetricSpace(1, 2.0**19), 0.5, mode="fast")
+    with pytest.raises(ValueError):
+        DynamicLightSpanner(MetricSpace(1, 2.0**20), 0.5, mode="fast")
+
+
 def test_update_preconditions():
     structure, _ = build([0, 5], 8.0)
     with pytest.raises(KeyError):
@@ -211,6 +250,19 @@ def test_fast_random_mixed_run_stays_clean():
             next_id += 1
         assert_clean(structure)
         assert sweep_estimate_store(structure) == []
+        active = sorted(space.active)
+        center = next_id - 1
+        for i in range(structure.top + 1):
+            r = 4.0 * (1 << i)
+            want = [
+                (u, v)
+                for a, u in enumerate(active)
+                for v in active[a + 1:]
+                if scale_of(space.distance(u, v)) == i
+                and space.distance(center, u) <= r
+                and space.distance(center, v) <= r
+            ]
+            assert structure.dense.edges_at_scale_in_ball(i, center, r) == want
 
 
 def test_estimate_refresh_skips_output_loop_below_scale_two():

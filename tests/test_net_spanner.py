@@ -9,9 +9,9 @@ from dynspan.net_tree import NetHierarchy
 from dynspan.oracle import max_stretch
 
 
-def path_instance(n, phi, eps=1.0, radius_factor=20.0):
+def path_instance(n, phi, eps=1.0):
     space = MetricSpace(1, phi)
-    hier = NetHierarchy(space, radius_factor=radius_factor)
+    hier = NetHierarchy(space)
     spanner = NetSpanner(hier, eps)
     for pid in range(n):
         space.add_point(pid, (float(pid + 1),))
@@ -33,16 +33,14 @@ def definitional_edges(space, hier, c):
 
 def test_parameter_validation():
     space = MetricSpace(1, 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     with pytest.raises(ValueError):
         NetSpanner(hier, 0.0)
-    with pytest.raises(ValueError):
-        NetSpanner(hier, 0.5)  # c = 36 exceeds the maintained radius
 
 
 def test_c_formula():
     space = MetricSpace(1, 8.0)
-    hier = NetHierarchy(space, radius_factor=40.0)
+    hier = NetHierarchy(space)
     assert NetSpanner(hier, 1.0).c == 20.0
     assert NetSpanner(hier, 0.5).c == 36.0
 
@@ -96,7 +94,7 @@ def test_witness_counts_drop_one_level_at_a_time():
     space = MetricSpace(1, 8.0)
     space.add_point(0, (0.0,))
     space.add_point(1, (2.0,))
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     for level, members in enumerate([{0, 1}, {0, 1}, {0}, {0}]):
         for pid in sorted(members):
             hier._add_member(level, pid)
@@ -133,16 +131,6 @@ def test_edges_at_scale_in_ball_on_path_16():
     assert spanner.edges_at_scale_in_ball(4, 3, 0.5) == []
 
 
-def test_edges_at_scale_needs_the_index():
-    space = MetricSpace(1, 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
-    spanner = NetSpanner(hier, 1.0, indexed=False)
-    space.add_point(0, (1.0,))
-    spanner.sync(hier.insert(0))
-    with pytest.raises(RuntimeError):
-        spanner.edges_at_scale_in_ball(1, 0, 1.0)
-
-
 def test_every_edge_has_a_witnessing_level():
     space, hier, spanner = path_instance(16, 16.0)
     for u, v in spanner.edges():
@@ -171,7 +159,7 @@ grid_points = st.lists(
 @given(grid_points, st.randoms(use_true_random=False))
 def test_sync_tracks_definition_under_random_updates(coords, rng):
     space = MetricSpace(2, 64.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     spanner = NetSpanner(hier, 1.0)
     alive = []
     pending = list(enumerate(coords))

@@ -18,23 +18,18 @@ def line_space(coords, phi):
     return space
 
 
-def manual_hierarchy(space, levels, radius_factor=20.0):
+def manual_hierarchy(space, levels):
     """Build a hierarchy with prescribed per-level member sets."""
-    hier = NetHierarchy(space, radius_factor=radius_factor)
+    hier = NetHierarchy(space)
     for i, members in enumerate(levels):
         for pid in sorted(members):
             hier._add_member(i, pid)
     return hier
 
 
-def test_radius_factor_floor():
-    with pytest.raises(ValueError):
-        NetHierarchy(MetricSpace(1, 8.0), radius_factor=3.0)
-
-
 def test_insert_into_empty_joins_every_level():
     space = line_space([0], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     changes = hier.insert(0)
     assert changes == [(0, 0, True), (1, 0, True), (2, 0, True), (3, 0, True)]
     assert hier.max_level(0) == 3
@@ -45,7 +40,7 @@ def test_insert_joins_levels_below_first_covered():
     # existing point at 0 on every level; new point at distance 5 is
     # first covered at level 3 (5 < 8), so it joins levels 0..2
     space = line_space([0, 5], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     changes = hier.insert(1)
     assert changes == [(0, 1, True), (1, 1, True), (2, 1, True)]
@@ -56,7 +51,7 @@ def test_insert_joins_levels_below_first_covered():
 
 def test_insert_close_point_joins_only_bottom():
     space = line_space([0, 1], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     changes = hier.insert(1)  # 1 < 2**1, first covered at level 1
     assert changes == [(0, 1, True)]
@@ -65,7 +60,7 @@ def test_insert_close_point_joins_only_bottom():
 
 def test_insert_preconditions():
     space = line_space([0, 5], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     with pytest.raises(KeyError):
         hier.insert(0)  # already present
@@ -76,7 +71,7 @@ def test_insert_preconditions():
 
 def test_delete_only_point_empties_everything():
     space = line_space([0], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     hier.delete(0)
     assert all(not members for members in hier.levels)
@@ -85,7 +80,7 @@ def test_delete_only_point_empties_everything():
 
 def test_delete_promotes_sole_survivor_to_top():
     space = line_space([0, 5], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)  # levels 0..3
     hier.insert(1)  # levels 0..2
     changes = hier.delete(0)
@@ -103,7 +98,7 @@ def test_delete_promotes_sole_survivor_to_top():
 
 def test_delete_with_two_survivors_restores_covering():
     space = line_space([0, 3, 5], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)  # all levels
     hier.insert(1)  # coord 3: levels 0..1
     hier.insert(2)  # coord 5: levels 0..2
@@ -116,14 +111,14 @@ def test_delete_with_two_survivors_restores_covering():
 
 def test_delete_absent_point_fails():
     space = line_space([0], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     with pytest.raises(KeyError):
         hier.delete(0)
 
 
 def test_ball_of_radius_zero_is_the_member():
     space = line_space([0], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     assert hier.ball(2, 0, 0.0) == [0]
 
@@ -151,12 +146,10 @@ def test_ball_on_prescribed_path_nets():
     assert hier.ball(2, 1, 2.0) == []
 
 
-def test_ball_rejects_unsupported_radius_and_level():
+def test_ball_rejects_unsupported_level():
     space = line_space([0], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
-    with pytest.raises(ValueError):
-        hier.ball(1, 0, 41.0)  # maintained radius at level 1 is 40
     with pytest.raises(ValueError):
         hier.ball(4, 0, 1.0)
     with pytest.raises(ValueError):
@@ -165,7 +158,7 @@ def test_ball_rejects_unsupported_radius_and_level():
 
 def test_ball_accepts_deleted_center():
     space = line_space([0, 5], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     hier.insert(1)
     hier.delete(0)
@@ -176,7 +169,7 @@ def test_ball_accepts_deleted_center():
 def test_ball_query_counter():
     space = line_space([0], 8.0)
     counters = {}
-    hier = NetHierarchy(space, radius_factor=20.0, counters=counters)
+    hier = NetHierarchy(space, counters=counters)
     hier.insert(0)
     hier.ball(0, 0, 1.0)
     hier.ball(1, 0, 1.0)
@@ -196,7 +189,7 @@ def test_validate_on_multiples_of_powers_of_two():
 
 def test_dump_lists_levels_in_order():
     space = line_space([0, 5], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     hier.insert(1)
     assert hier.dump() == "0 1\n0 1\n0 1\n0"
@@ -217,7 +210,7 @@ grid_points = st.lists(
 @given(grid_points, st.randoms(use_true_random=False))
 def test_random_updates_keep_hierarchy_valid(coords, rng):
     space = MetricSpace(2, 128.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     alive = []
     pending = list(enumerate(coords))
     for _ in range(len(coords) + len(coords) // 2):
@@ -242,7 +235,7 @@ def test_random_updates_keep_hierarchy_valid(coords, rng):
 @given(grid_points, st.randoms(use_true_random=False))
 def test_ball_matches_brute_force_scan(coords, rng):
     space = MetricSpace(2, 128.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     for pid, c in enumerate(coords):
         space.add_point(pid, (float(c[0]), float(c[1])))
         hier.insert(pid)
@@ -250,7 +243,7 @@ def test_ball_matches_brute_force_scan(coords, rng):
     for _ in range(10):
         level = rng.randrange(hier.top + 1)
         center = rng.choice(ids)
-        r = rng.uniform(0.0, hier.list_radius(level))
+        r = rng.uniform(0.0, float(1 << (hier.top + 2)))
         got = sorted(hier.ball(level, center, r))
         want = sorted(
             y for y in hier.levels[level] if space.distance(center, y) <= r

@@ -203,13 +203,13 @@ def test_mst_on_matrix_space():
 
 def test_validate_empty_hierarchy():
     space = MetricSpace(1, 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     assert validate_net_hierarchy(hier) == []
 
 
 def test_validate_flags_close_pair_in_high_level():
     space = line_space([0, 3], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     hier.insert(1)  # joins levels 0 and 1 only
     assert validate_net_hierarchy(hier) == []
@@ -219,7 +219,7 @@ def test_validate_flags_close_pair_in_high_level():
 
 def test_validate_flags_nesting_and_level_zero():
     space = line_space([0, 5], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     hier._add_member(2, 1)  # 1 in level 2 but not below, and absent from level 0
     found = validate_net_hierarchy(hier)
@@ -229,7 +229,7 @@ def test_validate_flags_nesting_and_level_zero():
 
 def test_validate_flags_covering_gap():
     space = line_space([0, 5], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier._add_member(0, 0)
     hier._add_member(0, 1)
     hier._add_member(1, 0)  # point 1 is 5 > 2 away from every level-1 member
@@ -238,7 +238,7 @@ def test_validate_flags_covering_gap():
 
 def test_validate_neighbor_lists_detects_corruption():
     space = line_space([0, 1], 8.0)
-    hier = NetHierarchy(space, radius_factor=20.0)
+    hier = NetHierarchy(space)
     hier.insert(0)
     hier.insert(1)
     assert validate_neighbor_lists(hier) == []
