@@ -254,6 +254,8 @@ def run(config: ScenarioConfig) -> RunResult:
                             "added": len(report.added),
                             "removed": len(report.removed),
                             "time_ns": report.time_ns,
+                            "ball_queries": report.ball_queries,
+                            "relaxations": report.relaxations,
                         }
                     )
                     + "\n"

@@ -10,9 +10,11 @@ guaranteed separation (1+eps/3) absorbs the drift in between.
 
 Two update strategies share all bookkeeping:
 
-* ``exact`` settles each revisited edge with a truncated Dijkstra run
-  over the current output edges, memoising decisions so unchanged
-  regions are not re-searched.
+* ``exact`` settles the revisited edges of each scale with one batched
+  Dijkstra search over the output edges below that scale, among the
+  points in a ball around the updated point, truncated at ``1+eps``
+  times the longest of those edges.  Nothing is memoised between
+  updates.
 * ``fast`` replaces the Dijkstra runs with cached coarse distance
   estimates read off small sketch graphs, refreshed only near the
   updated point.  Estimates are kept for the pairs of a net spanner
@@ -28,13 +30,14 @@ have a scale that no update visits.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csgraph, csr_matrix
+# the fast path's sketch searches; bench/tracing.py wraps this name, and the
+# exact path calls csgraph.dijkstra so that its searches are not counted here
 from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 
 from .metric import scale_of
@@ -79,6 +82,8 @@ class UpdateReport:
     time_ns: int
     ball_queries: int
     relaxations: int
+    """Finite (source, point) distances settled by the exact mode's batched
+    searches, sources included; always 0 in fast mode."""
     net_changes: list[Change]
 
 
@@ -123,10 +128,6 @@ class DynamicLightSpanner:
         self.light: set[Edge] = set()
         self.estimates = EstimateStore()
         self._light_adj: dict[int, dict[int, tuple[float, int]]] = {}
-        self._adds_per_scale = [0] * (self.top + 2)
-        self._removes_per_scale = [0] * (self.top + 2)
-        # pair -> (covered, adds_below, removes_below) at decision time
-        self._memo: dict[Edge, tuple[bool, int, int]] = {}
 
     # -- output edge bookkeeping -----------------------------------------
 
@@ -137,11 +138,9 @@ class DynamicLightSpanner:
         self.light.add(e)
         self._light_adj.setdefault(u, {})[v] = (w, s)
         self._light_adj.setdefault(v, {})[u] = (w, s)
-        self._adds_per_scale[s] += 1
 
     def _light_remove(self, e: Edge) -> None:
         u, v = e
-        s = scale_of(self.space.distance(u, v))
         self.light.remove(e)
         del self._light_adj[u][v]
         del self._light_adj[v][u]
@@ -149,7 +148,6 @@ class DynamicLightSpanner:
             del self._light_adj[u]
         if not self._light_adj[v]:
             del self._light_adj[v]
-        self._removes_per_scale[s] += 1
 
     def _apply(self, u: int, v: int, covered: bool, added: set[Edge], removed: set[Edge]) -> None:
         e = (u, v) if u < v else (v, u)
@@ -231,7 +229,6 @@ class DynamicLightSpanner:
     ) -> None:
         base_added, base_removed = self.base.sync(changes)
         for e in base_removed:
-            self._memo.pop(e, None)
             if e in self.light:
                 self._light_remove(e)
                 if e in added:
@@ -252,59 +249,58 @@ class DynamicLightSpanner:
 
     def _reselect_exact(self, x: int, added: set[Edge], removed: set[Edge]) -> None:
         one = 1.0 + self.eps
-        stop = max(2.0, one)
+        dist = self.space.distance
+        light = self.light
+        work = []
         for i in range(self.top + 1):
             pairs = self.base.edges_at_scale_in_ball(i, x, 4.0 * (1 << i))
-            if not pairs:
-                continue
-            adds_below = sum(self._adds_per_scale[:i])
-            removes_below = sum(self._removes_per_scale[:i])
-            by_source: dict[int, list[tuple[int, float]]] = {}
-            for u, v in pairs:
-                w = self.space.distance(u, v)
-                hit = self._memo.get((u, v))
-                if hit is not None:
-                    covered, a_seen, r_seen = hit
-                    # a covered verdict survives any additions below, an
-                    # uncovered verdict survives any removals below
-                    if covered and r_seen == removes_below:
-                        self._apply(u, v, True, added, removed)
-                        continue
-                    if not covered and a_seen == adds_below:
-                        self._apply(u, v, False, added, removed)
-                        continue
-                by_source.setdefault(u, []).append((v, w))
-            for u in sorted(by_source):
-                group = by_source[u]
-                cutoff = max(stop * w for _, w in group)
-                dist = self._restricted_dijkstra(u, i, cutoff)
-                for v, w in group:
-                    covered = dist.get(v, INF) <= one * w
-                    self._memo[(u, v)] = (covered, adds_below, removes_below)
-                    self._apply(u, v, covered, added, removed)
+            if pairs:
+                weights = [dist(u, v) for u, v in pairs]
+                work.append((i, pairs, weights, one * max(weights)))
+        if not work:
+            return
+        # a path of length at most limit from a source within 4 * 2**i of x
+        # stays within 4 * 2**i + limit of x, so a search truncated at limit
+        # needs no point farther out; this radius grows with the scale, and
+        # the relative slack absorbs rounding in the triangle inequality
+        reach = [(4.0 * (1 << i) + limit) * (1.0 + 1e-9) for i, _, _, limit in work]
+        near = sorted((dist(x, y), y) for y in self.hierarchy.ball(0, x, reach[-1]))
+        for (i, pairs, weights, limit), r in zip(work, reach):
+            ids = [y for d, y in near if d <= r]
+            # built after the lower scales of this update have been applied,
+            # since the verdicts here read their output edges
+            index, graph = self._output_below(i, ids)
+            # each pair is searched from its smaller endpoint u, always the
+            # same one: rounded path sums can depend on the direction
+            sources = sorted({u for u, _ in pairs})
+            rows = csgraph.dijkstra(
+                graph, directed=True, indices=[index[u] for u in sources], limit=limit
+            )
+            self.counters["relaxations"] += int(np.count_nonzero(np.isfinite(rows)))
+            row_of = {u: k for k, u in enumerate(sources)}
+            found = rows[[row_of[u] for u, _ in pairs], [index[v] for _, v in pairs]]
+            covered = found <= one * np.asarray(weights)
+            for (u, v), c in zip(pairs, covered.tolist()):
+                if c == ((u, v) in light):  # a covered edge is kept, or the reverse
+                    self._apply(u, v, c, added, removed)
 
-    def _restricted_dijkstra(self, source: int, scale_limit: int, cutoff: float) -> dict[int, float]:
-        """Distances over output edges of scale < scale_limit, truncated at cutoff."""
+    def _output_below(self, scale: int, ids: list[int]) -> tuple[dict[int, int], csr_matrix]:
+        """The output edges of scale < ``scale`` among ``ids``, as a CSR graph
+        that holds both directions of each edge."""
+        index = {pid: k for k, pid in enumerate(ids)}
         adj = self._light_adj
-        dist = {source: 0.0}
-        heap = [(0.0, source)]
-        relax = 0
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, INF):
-                continue
-            if d > cutoff:
-                break
-            for v, (w, s) in adj.get(u, {}).items():
-                if s >= scale_limit:
-                    continue
-                relax += 1
-                nd = d + w
-                if nd <= cutoff and nd < dist.get(v, INF):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        self.counters["relaxations"] += relax
-        return dist
+        indptr = [0]
+        indices: list[int] = []
+        data: list[float] = []
+        for pid in ids:
+            for y, (w, s) in adj.get(pid, {}).items():
+                k = index.get(y)
+                if s < scale and k is not None:
+                    indices.append(k)
+                    data.append(w)
+            indptr.append(len(indices))
+        n = len(ids)
+        return index, csr_matrix((data, indices, indptr), shape=(n, n))
 
     # -- fast strategy -------------------------------------------------------
 
@@ -404,12 +400,15 @@ class DynamicLightSpanner:
         return float(row[index[v]])
 
     def _check_fresh_entries(self, base_added: list[Edge], dense_added: list[Edge]) -> None:
+        """Raise unless every pair that joined a pool got its estimates."""
         for e in base_added:
-            assert e in self.estimates.dstar, f"pool edge {e} has no separation estimate"
+            if e not in self.estimates.dstar:
+                raise RuntimeError(f"pool edge {e} has no separation estimate")
         for e in dense_added:
-            assert e in self.estimates.dstar, f"dense edge {e} has no separation estimate"
-            if scale_of(self.space.distance(*e)) <= self.top - 2:
-                assert e in self.estimates.dlight, f"dense edge {e} has no distance estimate"
+            if e not in self.estimates.dstar:
+                raise RuntimeError(f"dense edge {e} has no separation estimate")
+            if scale_of(self.space.distance(*e)) <= self.top - 2 and e not in self.estimates.dlight:
+                raise RuntimeError(f"dense edge {e} has no distance estimate")
 
     # -- queries ---------------------------------------------------------------
 

@@ -315,6 +315,17 @@ def test_missing_estimate_is_a_hard_error():
         structure.insert(2, (11.0,))
 
 
+def test_fresh_pool_edge_without_estimate_is_a_hard_error():
+    structure, _ = build([0.0, 1.0, 3.0], 16.0, mode="fast")
+    edge = structure.base_edges()[0]
+    structure._check_fresh_entries([edge], [edge])
+    del structure.estimates.dstar[edge]
+    with pytest.raises(RuntimeError, match="separation estimate"):
+        structure._check_fresh_entries([edge], [])
+    with pytest.raises(RuntimeError, match="separation estimate"):
+        structure._check_fresh_entries([], [edge])
+
+
 # -- cross-mode and metric-backend coverage --------------------------------------
 
 
@@ -356,6 +367,70 @@ def test_exact_random_mixed_run_stays_clean():
         assert_clean(structure)
     assert structure.counters["ball_queries"] > 0
     assert structure.counters["relaxations"] > 0
+
+
+def _assert_reselection_matches_brute_force(structure, x):
+    """Every base pair near x is in the output iff no short detour exists."""
+    space = structure.space
+    light = structure.light_edges()
+    one = 1.0 + structure.eps
+    for u, v in structure.base_edges():
+        w = space.distance(u, v)
+        r = 4.0 * (1 << scale_of(w))
+        if space.distance(x, u) <= r and space.distance(x, v) <= r:
+            kept = (u, v) in structure.light
+            assert kept == (dstar(space, light, u, v) > one * w), (x, u, v)
+
+
+def test_exact_reselection_matches_brute_force_in_the_plane():
+    rng = random.Random(17)
+    space = MetricSpace(2, 128.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="exact")
+    placed = {}
+    alive = []
+    for pid in range(80):
+        if len(alive) > 16 and rng.random() < 0.45:
+            x = alive.pop(rng.randrange(len(alive)))
+            structure.delete(x)
+            del placed[x]
+        else:
+            while True:
+                c = (rng.uniform(0, 85), rng.uniform(0, 85))
+                if all(math.dist(c, p) >= 1.0 for p in placed.values()):
+                    break
+            x = pid
+            placed[x] = c
+            structure.insert(x, c)
+            alive.append(x)
+        _assert_reselection_matches_brute_force(structure, x)
+    assert structure.counters["relaxations"] > 0
+
+
+def test_exact_reselection_matches_brute_force_on_a_path():
+    # the unit path 1..32, multiples of 16 first, then of 8, and so on
+    xs = sorted(range(1, 33), key=lambda x: (-(x & -x), x))
+    space = MetricSpace(1, 32.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="exact")
+    for pid, x in enumerate(xs):
+        structure.insert(pid, (float(x),))
+        _assert_reselection_matches_brute_force(structure, pid)
+    assert structure.light_edges() == sorted(
+        tuple(sorted((xs.index(x), xs.index(x + 1)))) for x in range(1, 32)
+    )
+
+
+def test_exact_detour_may_leave_the_update_ball():
+    # the pair (0, 1) at scale 3 lies in the scale-3 ball of radius 32
+    # around point 3; its only detour runs through point 2, outside that ball
+    space = MetricSpace(2, 64.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="exact")
+    for pid, c in enumerate([(-3.0, 31.7), (3.0, 31.7), (0.0, 33.5), (0.0, 0.0)]):
+        structure.insert(pid, c)
+    assert space.distance(3, 2) > 32.0 >= max(space.distance(3, 0), space.distance(3, 1))
+    assert (0, 1) in structure.base.witness
+    assert (0, 1) not in structure.light
+    assert {(0, 2), (1, 2)} <= structure.light
+    _assert_reselection_matches_brute_force(structure, 3)
 
 
 def test_distance_over_unchanged_region_is_stable():
