@@ -43,7 +43,6 @@ from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 from .metric import scale_of
 from .net_spanner import AllPairs, NetSpanner
 from .net_tree import Change, NetHierarchy
-from .oracle import mst_weight_prim
 
 Edge = tuple[int, int]
 INF = math.inf
@@ -170,25 +169,11 @@ class DynamicLightSpanner:
 
     def insert(self, pid: int, coords) -> UpdateReport:
         t0 = time.perf_counter_ns()
-        q0 = self.counters["ball_queries"]
-        r0 = self.counters["relaxations"]
+        before = dict(self.counters)
         self.space.add_point(pid, coords)
         self._reject_out_of_range(pid)
         changes = self.hierarchy.insert(pid)
-        added: set[Edge] = set()
-        removed: set[Edge] = set()
-        self._sync_and_reselect(pid, changes, added, removed)
-        return UpdateReport(
-            op="insert",
-            point=pid,
-            added=sorted(added),
-            removed=sorted(removed),
-            recourse=len(added) + len(removed),
-            time_ns=time.perf_counter_ns() - t0,
-            ball_queries=self.counters["ball_queries"] - q0,
-            relaxations=self.counters["relaxations"] - r0,
-            net_changes=changes,
-        )
+        return self._sync_and_reselect("insert", pid, changes, t0, before)
 
     def _reject_out_of_range(self, pid: int) -> None:
         """Deactivate pid and raise unless it is within [1, phi) of every active point."""
@@ -205,36 +190,21 @@ class DynamicLightSpanner:
 
     def delete(self, pid: int) -> UpdateReport:
         t0 = time.perf_counter_ns()
-        q0 = self.counters["ball_queries"]
-        r0 = self.counters["relaxations"]
+        before = dict(self.counters)
         changes = self.hierarchy.delete(pid)
         self.space.remove_point(pid)
-        added: set[Edge] = set()
-        removed: set[Edge] = set()
-        self._sync_and_reselect(pid, changes, added, removed)
-        return UpdateReport(
-            op="delete",
-            point=pid,
-            added=sorted(added),
-            removed=sorted(removed),
-            recourse=len(added) + len(removed),
-            time_ns=time.perf_counter_ns() - t0,
-            ball_queries=self.counters["ball_queries"] - q0,
-            relaxations=self.counters["relaxations"] - r0,
-            net_changes=changes,
-        )
+        return self._sync_and_reselect("delete", pid, changes, t0, before)
 
     def _sync_and_reselect(
-        self, pid: int, changes, added: set[Edge], removed: set[Edge]
-    ) -> None:
+        self, op: str, pid: int, changes: list[Change], t0: int, before: dict[str, int]
+    ) -> UpdateReport:
+        """Carry the hierarchy's changeset into the pools and the output, and
+        report the update that started at ``t0`` with the counters ``before``."""
+        added: set[Edge] = set()
+        removed: set[Edge] = set()
         base_added, base_removed = self.base.sync(changes)
-        for e in base_removed:
-            if e in self.light:
-                self._light_remove(e)
-                if e in added:
-                    added.discard(e)
-                else:
-                    removed.add(e)
+        for u, v in base_removed:
+            self._apply(u, v, True, added, removed)
         if self.mode == "fast":
             dense_added, dense_removed = self.dense.sync(changes)
             for e in dense_removed:
@@ -244,6 +214,17 @@ class DynamicLightSpanner:
             self._check_fresh_entries(base_added, dense_added)
         else:
             self._reselect_exact(pid, added, removed)
+        return UpdateReport(
+            op=op,
+            point=pid,
+            added=sorted(added),
+            removed=sorted(removed),
+            recourse=len(added) + len(removed),
+            time_ns=time.perf_counter_ns() - t0,
+            ball_queries=self.counters["ball_queries"] - before["ball_queries"],
+            relaxations=self.counters["relaxations"] - before["relaxations"],
+            net_changes=changes,
+        )
 
     # -- exact strategy ----------------------------------------------------
 
@@ -432,7 +413,8 @@ class DynamicLightSpanner:
             raise ValueError("lightness needs at least two active points")
         if not self.light:
             raise ValueError("output spanner has no edges")
-        return self.total_weight() / mst_weight_prim(self.space, ids)
+        mst = csgraph.minimum_spanning_tree(_distance_matrix(self.space, ids))
+        return self.total_weight() / float(mst.sum())
 
     def dump_spanner(self) -> str:
         """One line per output edge, ``u v length scale``, sorted by endpoints."""

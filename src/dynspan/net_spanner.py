@@ -1,18 +1,17 @@
-"""Level-witnessed spanner graph maintained on top of a net hierarchy.
+"""Spanner graph over a net hierarchy, kept in sync with its changesets.
 
 Two points u, v are joined by an edge when some level i of the hierarchy
 contains both and their distance is at most ``c * 2**i`` with
-``c = 4 + 16 / eps``.  Rather than recomputing the edge set after every
-hierarchy change, each edge carries a count of the levels currently
-witnessing it; membership changes translate into increments and
-decrements, and an edge lives exactly while its count is positive.
+``c = 4 + 16 / eps``.  The edges are a plain set, held as a partner index
+by length scale.
 
-The class is deliberately ignorant of how the hierarchy changed: it
-replays a changeset (the list of per-level membership events returned by
-``NetHierarchy.insert``/``delete``) against the *final* hierarchy state,
-which is the only state it can query.  Removal events therefore exclude
-partners that were added at the same level within the same changeset,
-since those were not members when the removed point was.
+The hierarchy never removes a surviving point from a level: an insert only
+adds the new point, and a delete removes only the deleted point, from every
+level, then promotes others.  So an edge can leave the set only when one of
+its endpoints is deleted.  ``sync`` relies on this and checks it: a removal
+event drops every edge of its point, and is refused while the point is still
+active.  An addition event adds the pairs its point forms at that level,
+found with one ball query against the hierarchy's final state.
 """
 
 from __future__ import annotations
@@ -28,11 +27,11 @@ def _pair(u: int, v: int) -> Edge:
 
 
 class NetSpanner:
-    """Edge set over hierarchy levels, kept in sync via witness counts.
+    """Edge set over hierarchy levels, kept in sync with membership events.
 
-    A per-(scale, point) partner index lets all edges of a given length
-    scale inside a metric ball be enumerated without touching the rest of
-    the graph.
+    A per-(scale, point) partner index holds the edges, so all edges of a
+    given length scale inside a metric ball can be enumerated without
+    touching the rest of the graph.
     """
 
     def __init__(self, hierarchy: NetHierarchy, eps: float):
@@ -41,51 +40,8 @@ class NetSpanner:
         self.hierarchy = hierarchy
         self.eps = eps
         self.c = 4.0 + 16.0 / eps
-        # edge -> number of levels currently witnessing it
-        self.witness: dict[Edge, int] = {}
         # scale -> point -> partners
         self.by_scale: dict[int, dict[int, set[int]]] = {}
-
-    # -- bookkeeping ----------------------------------------------------
-
-    def _index_add(self, u: int, v: int, s: int) -> None:
-        level = self.by_scale.setdefault(s, {})
-        level.setdefault(u, set()).add(v)
-        level.setdefault(v, set()).add(u)
-
-    def _index_remove(self, u: int, v: int, s: int) -> None:
-        level = self.by_scale[s]
-        level[u].discard(v)
-        level[v].discard(u)
-        if not level[u]:
-            del level[u]
-        if not level[v]:
-            del level[v]
-        if not level:
-            del self.by_scale[s]
-
-    def _bump(self, u: int, v: int, delta: int, added: set[Edge], removed: set[Edge]) -> None:
-        e = _pair(u, v)
-        count = self.witness.get(e, 0) + delta
-        if count < 0:
-            raise AssertionError(f"negative witness count for {e}")
-        if count == 0:
-            if e in self.witness:
-                del self.witness[e]
-                self._index_remove(e[0], e[1], self.edge_scale(e[0], e[1]))
-                if e in added:
-                    added.discard(e)
-                else:
-                    removed.add(e)
-        else:
-            fresh = e not in self.witness
-            self.witness[e] = count
-            if fresh:
-                self._index_add(e[0], e[1], self.edge_scale(e[0], e[1]))
-                if e in removed:
-                    removed.discard(e)
-                else:
-                    added.add(e)
 
     # -- synchronisation ------------------------------------------------
 
@@ -93,89 +49,83 @@ class NetSpanner:
         """Replay hierarchy membership events, return (added, removed) edges.
 
         Must be called after the hierarchy mutation that produced the
-        changeset, before any further mutation.
+        changeset, before any further mutation.  Raises ``ValueError``,
+        changing nothing, if a removal event names an active point.
         """
         hier = self.hierarchy
-        added_at: dict[int, list[int]] = {}
-        removals: list[tuple[int, int]] = []
+        for level, pid, was_added in changeset:
+            if not was_added and pid in hier.levels[0]:
+                raise ValueError(f"point {pid} left level {level} but is still active")
+        added: list[Edge] = []
+        removed: list[Edge] = []
         for level, pid, was_added in changeset:
             if was_added:
-                added_at.setdefault(level, []).append(pid)
+                known = {pid}.union(*(pp.get(pid, ()) for pp in self.by_scale.values()))
+                for y in hier.ball(level, pid, self.c * float(1 << level)):
+                    if y not in known:
+                        known.add(y)
+                        per_point = self.by_scale.setdefault(self.edge_scale(pid, y), {})
+                        per_point.setdefault(pid, set()).add(y)
+                        per_point.setdefault(y, set()).add(pid)
+                        added.append(_pair(pid, y))
             else:
-                removals.append((level, pid))
-
-        added: set[Edge] = set()
-        removed: set[Edge] = set()
-
-        for level, pid in removals:
-            radius = self.c * float(1 << level)
-            new_here = set(added_at.get(level, ()))
-            for y in hier.ball(level, pid, radius):
-                if y == pid or y in new_here:
-                    continue
-                self._bump(pid, y, -1, added, removed)
-
-        for level, pids in added_at.items():
-            radius = self.c * float(1 << level)
-            pending = set(pids)
-            for pid in pids:
-                pending.discard(pid)
-                for y in hier.ball(level, pid, radius):
-                    if y == pid or y in pending:
-                        continue
-                    self._bump(pid, y, +1, added, removed)
-
+                for s in list(self.by_scale):
+                    per_point = self.by_scale[s]
+                    for y in per_point.pop(pid, ()):
+                        per_point[y].discard(pid)
+                        if not per_point[y]:
+                            del per_point[y]
+                        removed.append(_pair(pid, y))
+                    if not per_point:
+                        del self.by_scale[s]
         return (sorted(added), sorted(removed))
 
     def rebuild(self) -> None:
-        """Recompute all witness counts from scratch (testing aid)."""
-        self.witness.clear()
+        """Recompute the edge set from scratch (testing aid)."""
         self.by_scale.clear()
-        hier = self.hierarchy
-        for level, members in enumerate(hier.levels):
-            radius = self.c * float(1 << level)
-            for u in members:
-                for v in hier.ball(level, u, radius):
-                    if v <= u:
-                        continue
-                    e = (u, v)
-                    fresh = e not in self.witness
-                    self.witness[e] = self.witness.get(e, 0) + 1
-                    if fresh:
-                        self._index_add(u, v, self.edge_scale(u, v))
+        self.sync([
+            (level, pid, True)
+            for level, members in enumerate(self.hierarchy.levels)
+            for pid in members
+        ])
 
     # -- queries ---------------------------------------------------------
 
     def contains(self, u: int, v: int) -> bool:
-        return _pair(u, v) in self.witness
-
-    def edge_weight(self, u: int, v: int) -> float:
-        return self.hierarchy.space.distance(u, v)
+        return any(v in per_point.get(u, ()) for per_point in self.by_scale.values())
 
     def edge_scale(self, u: int, v: int) -> int:
         return scale_of(self.hierarchy.space.distance(u, v))
 
     def edges(self) -> list[Edge]:
-        return sorted(self.witness)
+        return sorted(
+            (u, v)
+            for per_point in self.by_scale.values()
+            for u, partners in per_point.items()
+            for v in partners
+            if u < v
+        )
 
     def edge_count(self) -> int:
-        return len(self.witness)
+        return sum(
+            len(partners) for per_point in self.by_scale.values() for partners in per_point.values()
+        ) // 2
 
     def total_weight(self) -> float:
         dist = self.hierarchy.space.distance
-        return sum(dist(u, v) for u, v in self.witness)
+        return sum(dist(u, v) for u, v in self.edges())
 
     def max_degree(self) -> int:
         deg: dict[int, int] = {}
-        for u, v in self.witness:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
+        for per_point in self.by_scale.values():
+            for u, partners in per_point.items():
+                deg[u] = deg.get(u, 0) + len(partners)
         return max(deg.values(), default=0)
 
     def edges_at_scale_in_ball(self, ascale: int, center: int, r: float) -> list[Edge]:
         """All edges of scale ``ascale`` with both endpoints within r of center.
 
-        Every edge of scale i is witnessed at some level >= i - scale_of(c),
+        Every edge of scale i is formed at some level >= i - scale_of(c),
         so by nesting both endpoints appear in that level's net; one ball
         query there plus the partner index covers all candidates.
         """
@@ -199,7 +149,7 @@ class NetSpanner:
         """One line per edge, ``u v length scale``, sorted by endpoints."""
         dist = self.hierarchy.space.distance
         lines = []
-        for u, v in sorted(self.witness):
+        for u, v in self.edges():
             d = dist(u, v)
             lines.append(f"{u} {v} {d!r} {scale_of(d)}")
         return "\n".join(lines)

@@ -93,39 +93,14 @@ class NetHierarchy:
     def _join_threshold(self, pid: int) -> int:
         """Smallest level i with a member strictly within 2**i of pid, else top+1.
 
-        Found with one descent from the highest populated level; the candidate
-        set at level j is complete out to radius 5 * 2**j, which is more than
-        enough to decide membership-strictly-within-2**j exactly.
+        Found with one descent at radius 0, whose candidate set at level j is
+        complete out to 4 * 2**j, enough to decide this exactly.
         """
-        dist = self.space.distance
-        high = self.top
-        while high >= 0 and not self.levels[high]:
-            high -= 1
-        if high < 0:
-            return self.top + 1
-
         threshold = self.top + 1
-        candidates = [y for y in self.levels[high] if dist(pid, y) <= 5.0 * (1 << high)]
-        for j in range(high, -1, -1):
+        for j, candidates in self._descend(pid, 0.0, 0):
             limit = float(1 << j)
-            if any(dist(pid, y) < limit for y in candidates):
+            if any(self.space.distance(pid, y) < limit for y in candidates):
                 threshold = j
-            if j == 0:
-                break
-            radius = 5.0 * (1 << (j - 1))
-            nxt: list[int] = []
-            seen: set[int] = set()
-            for z in candidates:
-                if z not in seen and z in self.levels[j - 1]:
-                    seen.add(z)
-                    if dist(pid, z) <= radius:
-                        nxt.append(z)
-                for y in self.neighbors[j - 1].get(z, ()):
-                    if y not in seen:
-                        seen.add(y)
-                        if dist(pid, y) <= radius:
-                            nxt.append(y)
-            candidates = nxt
         return threshold
 
     def delete(self, pid: int) -> list[Change]:
@@ -190,18 +165,30 @@ class NetHierarchy:
         self.counters["ball_queries"] = self.counters.get("ball_queries", 0) + 1
         if r < 0:
             return []
+        members: list[int] = []
+        for _, members in self._descend(center, r, level):
+            pass
         dist = self.space.distance
+        return [y for y in members if dist(center, y) <= r]
 
+    def _descend(self, center: int, r: float, low: int):
+        """Yield (j, level-j members within r + 4 * 2**j of center) for each j
+        from the highest populated level down to ``low``.
+
+        Each set is complete: a member within that radius has its covering
+        parent (within 2 * 2**j of it) in the set one level up, and that
+        parent lists it as a level-j neighbour.
+        """
+        dist = self.space.distance
         high = self.top
         while high >= 0 and not self.levels[high]:
             high -= 1
-        if high < level:
-            return []
-
-        # candidate set at level j, complete out to radius r + 2**(j+2)
+        if high < low:
+            return
         radius = r + (1 << (high + 2))
         candidates = [y for y in self.levels[high] if dist(center, y) <= radius]
-        for j in range(high - 1, level - 1, -1):
+        yield high, candidates
+        for j in range(high - 1, low - 1, -1):
             radius = r + (1 << (j + 2))
             nxt: list[int] = []
             seen: set[int] = set()
@@ -216,7 +203,7 @@ class NetHierarchy:
                         if dist(center, y) <= radius:
                             nxt.append(y)
             candidates = nxt
-        return [y for y in candidates if dist(center, y) <= r]
+            yield j, candidates
 
     def dump(self) -> str:
         """One line per level, sorted member ids, for golden tests."""

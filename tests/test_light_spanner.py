@@ -16,6 +16,7 @@ from dynspan.oracle import (
     check_invariants,
     dstar,
     max_stretch,
+    mst_weight_prim,
     pairwise_matrix,
     spanner_distance_matrix,
     sweep_estimate_store,
@@ -122,7 +123,7 @@ def test_insert_rejects_out_of_range_points(mode):
         return (
             set(structure.space.active),
             structure.hierarchy.dump(),
-            dict(structure.base.witness),
+            structure.base.edges(),
             structure.dense.edge_count(),
             structure.light_edges(),
             structure.dump_estimates(),
@@ -164,7 +165,7 @@ def test_update_preconditions():
 
 def test_triangle_leaves_out_the_covered_long_edge():
     structure, _ = build([0.0, 1.0, 2.1], 8.0)
-    assert (0, 2) in structure.base.witness
+    assert structure.base.contains(0, 2)
     assert structure.light_edges() == [(0, 1), (1, 2)]
     assert_clean(structure)
     # the two-hop detour 2.1 <= (1+eps) * 2.1 decides membership
@@ -186,6 +187,25 @@ def test_reselect_is_idempotent_on_settled_structure():
     added, removed = set(), set()
     structure._reselect_exact(0, added, removed)
     assert added == set() and removed == set()
+
+
+@pytest.mark.parametrize("kind", ["plane", "matrix"])
+def test_lightness_is_output_weight_over_mst_weight(kind):
+    rng = random.Random(5)
+    pts = rng.sample([(float(x), float(y)) for x in range(24) for y in range(24)], 40)
+    if kind == "plane":
+        space = MetricSpace(2, 64.0)
+    else:
+        space = DistanceMatrixSpace(
+            [[math.dist(p, q) for q in pts] for p in pts], 64.0
+        )
+    structure = DynamicLightSpanner(space, 0.5)
+    for pid, c in enumerate(pts):
+        structure.insert(pid, c if kind == "plane" else ())
+    for pid in rng.sample(range(len(pts)), 12):
+        structure.delete(pid)
+    want = structure.total_weight() / mst_weight_prim(space, sorted(space.active))
+    assert structure.lightness() == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_lightness_preconditions():
@@ -427,7 +447,7 @@ def test_exact_detour_may_leave_the_update_ball():
     for pid, c in enumerate([(-3.0, 31.7), (3.0, 31.7), (0.0, 33.5), (0.0, 0.0)]):
         structure.insert(pid, c)
     assert space.distance(3, 2) > 32.0 >= max(space.distance(3, 0), space.distance(3, 1))
-    assert (0, 1) in structure.base.witness
+    assert structure.base.contains(0, 1)
     assert (0, 1) not in structure.light
     assert {(0, 2), (1, 2)} <= structure.light
     _assert_reselection_matches_brute_force(structure, 3)

@@ -1,4 +1,4 @@
-"""Witness-counted spanner edges kept in sync with hierarchy changesets."""
+"""Net spanner edges kept in sync with hierarchy changesets."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,9 +73,9 @@ def test_path_8_matches_definitional_set():
 
 def test_sync_agrees_with_rebuild():
     space, hier, spanner = path_instance(8, 8.0)
-    incremental = dict(spanner.witness)
+    incremental = spanner.edges()
     spanner.rebuild()
-    assert spanner.witness == incremental
+    assert spanner.edges() == incremental
 
 
 def test_contains():
@@ -88,31 +88,23 @@ def test_contains():
     assert not spanner.contains(0, 1)
 
 
-def test_witness_counts_drop_one_level_at_a_time():
-    # two points sharing levels 0 and 1: the edge has two witnesses and
-    # survives losing one
-    space = MetricSpace(1, 8.0)
-    space.add_point(0, (0.0,))
-    space.add_point(1, (2.0,))
-    hier = NetHierarchy(space)
-    for level, members in enumerate([{0, 1}, {0, 1}, {0}, {0}]):
-        for pid in sorted(members):
-            hier._add_member(level, pid)
-    spanner = NetSpanner(hier, 1.0)
-    spanner.rebuild()
-    assert spanner.witness[(0, 1)] == 2
-
+def test_removal_event_for_an_active_point_is_refused():
+    # only a deleted point ever leaves a level, so a removal event naming a
+    # point still in level 0 is an error, and it changes nothing
+    space, hier, spanner = path_instance(4, 8.0)
+    before = spanner.edges()
+    with pytest.raises(ValueError):
+        spanner.sync([(0, 3, False)])
+    assert spanner.edges() == before
+    # an addition ahead of the bad event is not applied either
+    space.add_point(4, (5.0,))
     changes = []
-    hier._remove_member(1, 1, changes)
+    hier._add_member(0, 4, changes)
+    with pytest.raises(ValueError):
+        spanner.sync(changes + [(0, 1, False)])
+    assert spanner.edges() == before
     added, removed = spanner.sync(changes)
-    assert (added, removed) == ([], [])
-    assert spanner.witness[(0, 1)] == 1
-
-    changes = []
-    hier._remove_member(0, 1, changes)
-    added, removed = spanner.sync(changes)
-    assert (added, removed) == ([], [(0, 1)])
-    assert not spanner.contains(0, 1)
+    assert added == [(0, 4), (1, 4), (2, 4), (3, 4)] and removed == []
 
 
 def test_edges_at_scale_in_ball_on_path_16():

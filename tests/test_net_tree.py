@@ -219,6 +219,8 @@ def test_random_updates_keep_hierarchy_valid(coords, rng):
             space.add_point(pid, (float(c[0]), float(c[1])))
             changes = hier.insert(pid)
             alive.append(pid)
+            # an insert only adds the inserted point
+            assert all(who == pid and add for level, who, add in changes)
         else:
             pid = alive.pop(rng.randrange(len(alive)))
             changes = hier.delete(pid)
