@@ -175,17 +175,28 @@ def plan_ops(config: ScenarioConfig, pool: list[Point]) -> list[tuple[str, int]]
     return plan
 
 
-def _check_due(check: str, t: int, total: int) -> bool:
-    if check == "none":
-        return False
+def _check_every(check: str) -> int | None:
+    """The k of a policy that checks every k-th update (and the last one),
+    or None for ``none`` and ``final``.
+
+    Raises ``ValueError`` for an unknown policy, and for ``every-<k>``
+    unless k is an integer >= 1.
+    """
+    if check in ("none", "final"):
+        return None
     if check == "every-update":
-        return True
-    if check == "final":
-        return t == total
+        return 1
     if check.startswith("every-"):
-        k = int(check.split("-", 1)[1])
-        return t % k == 0 or t == total
+        k = check[len("every-"):]
+        if k.isascii() and k.isdigit() and int(k) >= 1:
+            return int(k)
+        raise ValueError(f"check policy {check!r} needs every-<k> with an integer k >= 1")
     raise ValueError(f"unknown check policy {check!r}")
+
+
+def _check_due(check: str, t: int, total: int) -> bool:
+    k = _check_every(check)
+    return check != "none" and (t == total or (k is not None and t % k == 0))
 
 
 # -- checks -------------------------------------------------------------------
@@ -227,6 +238,7 @@ def build_structure(config: ScenarioConfig, space: MetricSpace | None = None) ->
 
 
 def run(config: ScenarioConfig) -> RunResult:
+    _check_every(config.check)  # refuse a bad policy before any update
     pool = generate_points(config, config.n + config.num_ops)
     coords = dict(pool)
     plan = plan_ops(config, pool)

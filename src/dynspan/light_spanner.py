@@ -20,7 +20,12 @@ Two update strategies share all bookkeeping:
   updated point.  Estimates are kept for the pairs of a net spanner
   built with a much smaller eps (``eps_small``); fast mode accepts only
   phi at which that spanner holds every active pair, so the pool is read
-  as a view of the active set and never stored.
+  as a view of the active set and never stored.  Each update measures
+  the neighbourhood of the updated point once (a ``Neighbourhood``: every
+  pair among the active points, and each point's distance to the updated
+  one), and every scale reads its refreshed pairs, its sketch's vertices
+  and distances, and its verdicts' weights from that one view.  A sketch
+  takes its output edges from the adjacency of its own vertices.
 
 Inserts are rejected, leaving the structure as it was (the id stays
 used), unless the new point is at distance in [1, phi) from every active
@@ -40,8 +45,8 @@ from scipy.sparse import csgraph, csr_matrix
 # exact path calls csgraph.dijkstra so that its searches are not counted here
 from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 
-from .metric import scale_of
-from .net_spanner import AllPairs, NetSpanner
+from .metric import distance_matrix, scale_of
+from .net_spanner import AllPairs, Neighbourhood, NetSpanner
 from .net_tree import Change, NetHierarchy
 
 Edge = tuple[int, int]
@@ -52,7 +57,7 @@ INF = math.inf
 KAPPA = 342
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredEstimate:
     value: float
     alpha: float  # guaranteed approximation factor recorded at write time
@@ -84,19 +89,6 @@ class UpdateReport:
     """Finite (source, point) distances settled by the exact mode's batched
     searches, sources included; always 0 in fast mode."""
     net_changes: list[Change]
-
-
-def _distance_matrix(space, ids: list[int]) -> np.ndarray:
-    if getattr(space, "dim", 0) > 0:
-        pts = np.asarray([space.coords(i) for i in ids], dtype=float)
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
-    n = len(ids)
-    m = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            m[a, b] = m[b, a] = space.distance(ids[a], ids[b])
-    return m
 
 
 class DynamicLightSpanner:
@@ -210,8 +202,9 @@ class DynamicLightSpanner:
             for e in dense_removed:
                 self.estimates.dstar.pop(e, None)
                 self.estimates.dlight.pop(e, None)
-            self._reselect_fast(pid, added, removed)
-            self._check_fresh_entries(base_added, dense_added)
+            view = self._view(pid)
+            self._reselect_fast(view, added, removed)
+            self._check_fresh_entries(view, base_added, dense_added)
         else:
             self._reselect_exact(pid, added, removed)
         return UpdateReport(
@@ -285,110 +278,143 @@ class DynamicLightSpanner:
 
     # -- fast strategy -------------------------------------------------------
 
-    def _reselect_fast(self, x: int, added: set[Edge], removed: set[Edge]) -> None:
+    def _view(self, x: int) -> Neighbourhood:
+        """Every active point near x, measured once: out to the largest radius
+        that any scale of an update around x reads."""
+        return Neighbourhood(self.hierarchy, x, 8.0 * (1 << self.top))
+
+    def _reselect_fast(self, view: Neighbourhood, added: set[Edge], removed: set[Edge]) -> None:
         one = 1.0 + self.eps
+        x = view.center
+        dstar = self.estimates.dstar
+        light = self.light
+        pos = view.pos
         for i in range(self.top + 1):
-            self._update_estimates(x, i)
-            for u, v in self.base.edges_at_scale_in_ball(i, x, 8.0 * (1 << i)):
-                entry = self.estimates.dstar.get((u, v))
-                if entry is None:
-                    raise RuntimeError(f"missing separation estimate for pair ({u}, {v})")
-                w = self.space.distance(u, v)
-                self._apply(u, v, entry.value <= one * w, added, removed)
+            self._update_estimates(view, i)
+            pairs = self.base.edges_at_scale_in_ball(i, x, 8.0 * (1 << i))
+            if not pairs:
+                continue
+            try:
+                found = np.array([dstar[e].value for e in pairs])
+            except KeyError as missing:
+                raise RuntimeError(
+                    f"missing separation estimate for pair {missing.args[0]}"
+                ) from None
+            weights = view.dist[[pos[u] for u, _ in pairs], [pos[v] for _, v in pairs]]
+            covered = found <= one * weights
+            for (u, v), c in zip(pairs, covered.tolist()):
+                if c == ((u, v) in light):  # a covered edge is kept, or the reverse
+                    self._apply(u, v, c, added, removed)
 
-    def _update_estimates(self, x: int, i: int) -> None:
-        """Refresh cached estimates for pool edges near x at scale iteration i."""
+    def _update_estimates(self, view: Neighbourhood, i: int) -> None:
+        """Refresh cached estimates for pairs near the view's center at scale
+        iteration i."""
         radius = 4.0 * (1 << i)
-        pairs_dl = (
-            self.dense.edges_at_scale_in_ball(i - 2, x, radius) if i >= 2 else []
-        )
-        pairs_ds = self.dense.edges_at_scale_in_ball(i, x, radius)
-        if not pairs_dl and not pairs_ds:
+        none = (np.empty(0, dtype=np.intp),) * 2
+        pairs_dl = view.pairs(i - 2, radius) if i >= 2 else none
+        pairs_ds = view.pairs(i, radius)
+        if not len(pairs_dl[0]) and not len(pairs_ds[0]):
             return
-        ids, index, graph = self._build_sketch(x, i)
+        members, graph = self._build_sketch(view, i)
         alpha = 1.0 + KAPPA * i * self.eps_small
-        sources = sorted(
-            {u for u, _ in pairs_dl if u in index}
-            | {u for u, _ in pairs_ds if u in index}
+        # view position -> sketch vertex, and -> Dijkstra row, or -1
+        vertex = np.full(len(view.ids), -1)
+        vertex[members] = np.arange(len(members))
+        sources = np.union1d(pairs_dl[0], pairs_ds[0])
+        sources = sources[vertex[sources] >= 0]
+        row = np.full(len(view.ids), -1)
+        row[sources] = np.arange(len(sources))
+        mat = (
+            sparse_dijkstra(graph, directed=False, indices=vertex[sources].tolist())
+            if len(sources)
+            else np.empty((0, len(members)))
         )
-        rows: dict[int, np.ndarray] = {}
-        if sources and graph is not None:
-            mat = sparse_dijkstra(
-                graph, directed=False, indices=[index[s] for s in sources]
-            )
-            rows = {s: mat[k] for k, s in enumerate(sources)}
 
-        def sketch_dist(u: int, v: int) -> float:
-            if u not in rows or v not in index:
-                return INF
-            return float(rows[u][index[v]])
+        def store(table: dict[Edge, StoredEstimate], first: np.ndarray, second: np.ndarray) -> None:
+            at, to = row[first], vertex[second]
+            ok = (at >= 0) & (to >= 0)
+            values = np.full(len(first), INF)
+            values[ok] = mat[at[ok], to[ok]]
+            for e, value in zip(view.edges(first, second), values.tolist()):
+                table[e] = StoredEstimate(value, alpha)
 
-        for u, v in pairs_dl:
-            self.estimates.dlight[(u, v)] = StoredEstimate(sketch_dist(u, v), alpha)
-        for u, v in pairs_ds:
-            self.estimates.dstar[(u, v)] = StoredEstimate(sketch_dist(u, v), alpha)
+        store(self.estimates.dlight, *pairs_dl)
+        store(self.estimates.dstar, *pairs_ds)
 
-    def _build_sketch(self, center: int, at_scale: int):
+    def _build_sketch(self, view: Neighbourhood, at_scale: int) -> tuple[np.ndarray, csr_matrix]:
         """Small graph whose distances coarsely track output-graph distances.
 
-        Vertices are net points near the center.  Pairs in the middle
-        distance band contribute an edge exactly when they are currently
-        in the output; pairs in the low band always contribute an edge,
-        weighted by their cached output-graph distance.
+        Vertices are net points near the view's center, returned as view
+        positions in ascending order.  Pairs in the middle distance band
+        contribute an edge exactly when they are currently in the output;
+        pairs in the low band always contribute an edge, weighted by their
+        cached output-graph distance.  Bands are read off ``view.matrix``.
         """
         iprime = max(0, scale_of(self.eps_small * float(1 << at_scale)) - 1)
-        ids = sorted(self.hierarchy.ball(iprime, center, 7.0 * (1 << at_scale)))
-        index = {pid: k for k, pid in enumerate(ids)}
-        n = len(ids)
-        if n == 0:
-            return ids, index, None
-        m = _distance_matrix(self.space, ids)
+        level = self.hierarchy.levels[iprime]
+        ids = view.ids
+        near = np.flatnonzero(view.to_center <= 7.0 * (1 << at_scale))
+        members = np.array([k for k in near.tolist() if ids[k] in level], dtype=np.intp)
+        n = len(members)
+        m = view.matrix[np.ix_(members, members)]
         band1_hi = 2.0 ** (at_scale - 1)
         band1_lo = 2.0 ** (at_scale - 3)
         band2_hi = band1_lo
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for a, b in self.light:
-            ka = index.get(a)
-            kb = index.get(b)
-            if ka is None or kb is None:
-                continue
-            w = float(m[ka, kb])
-            if band1_lo <= w < band1_hi:
-                rows.append(ka)
-                cols.append(kb)
-                data.append(w)
-        for ka, kb in zip(*np.nonzero(np.triu(m < band2_hi, 1))):
-            pair = (ids[ka], ids[kb])
-            entry = self.estimates.dlight.get(pair)
+        # middle band: the output edges among the vertices
+        sketch_ids = [ids[k] for k in members.tolist()]
+        vertex = {pid: j for j, pid in enumerate(sketch_ids)}
+        first: list[int] = []
+        second: list[int] = []
+        adj = self._light_adj
+        for a, ja in vertex.items():
+            for b in adj.get(a, ()):
+                jb = vertex.get(b)
+                if jb is not None and ja < jb:
+                    first.append(ja)
+                    second.append(jb)
+        rows1 = np.array(first, dtype=np.intp)
+        cols1 = np.array(second, dtype=np.intp)
+        w1 = m[rows1, cols1]
+        mid = (band1_lo <= w1) & (w1 < band1_hi)
+        # low band: every pair, weighted by its output-distance estimate
+        rows2, cols2 = np.nonzero(np.triu(m < band2_hi, 1))
+        dlight = self.estimates.dlight
+        estimated: list[float] = []
+        for ja, jb in zip(rows2.tolist(), cols2.tolist()):
+            pair = (sketch_ids[ja], sketch_ids[jb])
+            entry = dlight.get(pair)
             if entry is None:
                 raise RuntimeError(f"missing output-distance estimate for pair {pair}")
-            if math.isinf(entry.value):
-                continue
-            rows.append(int(ka))
-            cols.append(int(kb))
-            data.append(entry.value)
-        graph = csr_matrix((data, (rows, cols)), shape=(n, n))
-        return ids, index, graph
+            estimated.append(entry.value)
+        w2 = np.array(estimated, dtype=float)
+        low = ~np.isinf(w2)
+        rows = np.concatenate([rows1[mid], rows2[low]])
+        cols = np.concatenate([cols1[mid], cols2[low]])
+        data = np.concatenate([w1[mid], w2[low]])
+        return members, csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def estimate(self, u: int, v: int, at_scale: int, center: int) -> float:
         """Coarse distance between u and v read off one sketch graph."""
-        ids, index, graph = self._build_sketch(center, at_scale)
-        if graph is None or u not in index or v not in index:
+        view = self._view(center)
+        members, graph = self._build_sketch(view, at_scale)
+        vertex = {view.ids[k]: j for j, k in enumerate(members.tolist())}
+        if u not in vertex or v not in vertex:
             return INF
-        row = sparse_dijkstra(graph, directed=False, indices=[index[u]])[0]
-        return float(row[index[v]])
+        row = sparse_dijkstra(graph, directed=False, indices=[vertex[u]])[0]
+        return float(row[vertex[v]])
 
-    def _check_fresh_entries(self, base_added: list[Edge], dense_added: list[Edge]) -> None:
-        """Raise unless every pair that joined a pool got its estimates."""
+    def _check_fresh_entries(
+        self, view: Neighbourhood, base_added: list[Edge], dense_added: list[Edge]
+    ) -> None:
+        """Raise unless every pair that joined a pool got its estimates; the
+        dense pool's new pairs are all in the update's view."""
         for e in base_added:
             if e not in self.estimates.dstar:
                 raise RuntimeError(f"pool edge {e} has no separation estimate")
         for e in dense_added:
             if e not in self.estimates.dstar:
                 raise RuntimeError(f"dense edge {e} has no separation estimate")
-            if scale_of(self.space.distance(*e)) <= self.top - 2 and e not in self.estimates.dlight:
+            if view.scale(*e) <= self.top - 2 and e not in self.estimates.dlight:
                 raise RuntimeError(f"dense edge {e} has no distance estimate")
 
     # -- queries ---------------------------------------------------------------
@@ -413,7 +439,7 @@ class DynamicLightSpanner:
             raise ValueError("lightness needs at least two active points")
         if not self.light:
             raise ValueError("output spanner has no edges")
-        mst = csgraph.minimum_spanning_tree(_distance_matrix(self.space, ids))
+        mst = csgraph.minimum_spanning_tree(distance_matrix(self.space, ids))
         return self.total_weight() / float(mst.sum())
 
     def dump_spanner(self) -> str:

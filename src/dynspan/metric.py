@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def _check_phi(phi: float) -> float:
     phi = float(phi)
@@ -135,6 +137,25 @@ class DistanceMatrixSpace:
 
     def known_ids(self) -> Iterable[int]:
         return self._known
+
+
+def distance_matrix(space, ids: list[int]) -> np.ndarray:
+    """Pairwise distances of ``ids`` as a symmetric matrix.
+
+    On a space with coordinates they come from one array expression, which
+    may differ from ``space.distance`` in the last bit; otherwise each pair
+    is measured with ``space.distance``.
+    """
+    if getattr(space, "dim", 0) > 0:
+        pts = np.asarray([space.coords(i) for i in ids], dtype=float).reshape(len(ids), space.dim)
+        diff = pts[:, None, :] - pts[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=-1))
+    n = len(ids)
+    m = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            m[a, b] = m[b, a] = space.distance(ids[a], ids[b])
+    return m
 
 
 def validate_bounded(space) -> tuple[bool, list[tuple[int, int, float]]]:

@@ -12,11 +12,19 @@ its endpoints is deleted.  ``sync`` relies on this and checks it: a removal
 event drops every edge of its point, and is refused while the point is still
 active.  An addition event adds the pairs its point forms at that level,
 found with one ball query against the hierarchy's final state.
+
+``AllPairs`` stands for the pool holding every active pair, and
+``Neighbourhood`` is its measured form around one point: the fast update
+path builds one per update and reads every scale's pairs from it.
 """
 
 from __future__ import annotations
 
-from .metric import scale_of
+from functools import cached_property
+
+import numpy as np
+
+from .metric import distance_matrix, scale_of
 from .net_tree import Change, NetHierarchy
 
 Edge = tuple[int, int]
@@ -155,10 +163,63 @@ class NetSpanner:
         return "\n".join(lines)
 
 
+class Neighbourhood:
+    """The active points within r of a center, each distance among them
+    measured once.
+
+    ``ids`` is sorted, and position k of every array stands for ``ids[k]``.
+    ``to_center[k]`` is ``space.distance(center, ids[k])``, and
+    ``dist[a, b] == dist[b, a]`` is ``space.distance(ids[a], ids[b])`` for
+    a < b, so weights and scales read here equal those measured pair by pair.
+    """
+
+    def __init__(self, hierarchy: NetHierarchy, center: int, r: float):
+        self.space = space = hierarchy.space
+        dist = space.distance
+        self.center = center
+        self.ids = ids = sorted(hierarchy.ball(0, center, r))
+        self.pos = {pid: k for k, pid in enumerate(ids)}
+        self.to_center = np.array([dist(center, y) for y in ids], dtype=float)
+        # every pair a < b once, in row-major order, so in sorted (u, v) order
+        first, second = np.triu_indices(len(ids), 1)
+        measured = np.array(
+            [dist(ids[a], ids[b]) for a, b in zip(first.tolist(), second.tolist())], dtype=float
+        )
+        self.dist = np.zeros((len(ids), len(ids)))
+        self.dist[first, second] = measured
+        self.dist[second, first] = measured
+        self._first, self._second = first, second
+        # frexp's exponent is scale_of, bit for bit
+        self._pair_scale = np.frexp(measured)[1]
+        self._pair_reach = np.maximum(self.to_center[first], self.to_center[second])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """``distance_matrix`` of ``ids``, which may differ from ``dist`` in
+        the last bit."""
+        return distance_matrix(self.space, self.ids)
+
+    def scale(self, u: int, v: int) -> int:
+        return scale_of(float(self.dist[self.pos[u], self.pos[v]]))
+
+    def pairs(self, ascale: int, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Positions (a, b), a < b, of the pairs of scale ``ascale`` with
+        both points within r of the center, in sorted order."""
+        keep = np.flatnonzero((self._pair_scale == ascale) & (self._pair_reach <= r))
+        return self._first[keep], self._second[keep]
+
+    def edges(self, first: np.ndarray, second: np.ndarray) -> list[Edge]:
+        ids = self.ids
+        return [(ids[a], ids[b]) for a, b in zip(first.tolist(), second.tolist())]
+
+
 class AllPairs:
     """Every pair of active points, as a stateless view of the hierarchy.
 
-    It has the interface of ``NetSpanner`` that the fast update path reads.
+    It has ``NetSpanner``'s ``sync``, ``edge_count`` and
+    ``edges_at_scale_in_ball``.  The fast update path calls ``sync`` and
+    reads the pairs off its update's ``Neighbourhood``, as
+    ``edges_at_scale_in_ball`` does.
     A ``NetSpanner`` with ``c >= phi`` holds exactly these pairs, since
     level 0 is the whole active set and every active pair is closer than
     phi; this view gives them without storing them.
@@ -185,11 +246,5 @@ class AllPairs:
 
     def edges_at_scale_in_ball(self, ascale: int, center: int, r: float) -> list[Edge]:
         """All active pairs of scale ``ascale`` with both endpoints within r of center."""
-        dist = self.hierarchy.space.distance
-        inside = sorted(self.hierarchy.ball(0, center, r))
-        out: list[Edge] = []
-        for k, u in enumerate(inside):
-            for v in inside[k + 1:]:
-                if scale_of(dist(u, v)) == ascale:
-                    out.append((u, v))
-        return out
+        view = Neighbourhood(self.hierarchy, center, r)
+        return view.edges(*view.pairs(ascale, r))

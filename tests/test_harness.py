@@ -150,6 +150,16 @@ def test_check_due_policies():
         _check_due("sometimes", 1, 9)
 
 
+@pytest.mark.parametrize("check", ["every-0", "every--1", "every-x", "every-", "sometimes"])
+def test_bad_check_policy_is_refused_before_any_update(tmp_path, check):
+    out = tmp_path / "log.jsonl"
+    with pytest.raises(ValueError):
+        run(ScenarioConfig(n=4, phi=64.0, check=check, out=str(out)))
+    assert not out.exists() or out.read_text() == ""
+    with pytest.raises(ValueError):
+        _check_due(check, 1, 9)
+
+
 def test_empty_stream_yields_zero_summary():
     result = run(ScenarioConfig(n=0, check="final"))
     s = result.summary

@@ -8,10 +8,12 @@ edge set satisfying its selection rule.
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from dynspan.light_spanner import KAPPA, DynamicLightSpanner
-from dynspan.metric import DistanceMatrixSpace, MetricSpace, scale_of
+from dynspan.metric import DistanceMatrixSpace, MetricSpace, distance_matrix, scale_of
 from dynspan.oracle import (
     check_invariants,
     dstar,
@@ -290,8 +292,9 @@ def test_estimate_refresh_skips_output_loop_below_scale_two():
     sentinel = 123.0
     for entry in structure.estimates.dlight.values():
         entry.value = sentinel
-    structure._update_estimates(0, 0)
-    structure._update_estimates(0, 1)
+    view = structure._view(0)
+    structure._update_estimates(view, 0)
+    structure._update_estimates(view, 1)
     assert all(e.value == sentinel for e in structure.estimates.dlight.values())
     refreshed = [
         e
@@ -307,7 +310,7 @@ def test_estimate_refresh_without_nearby_edges_is_a_no_op():
     structure, _ = build([0.0, 1.0, 40.0, 41.0], 64.0, mode="fast")
     before_ds = dict(structure.estimates.dstar)
     before_dl = dict(structure.estimates.dlight)
-    structure._update_estimates(0, 2)  # no pool edges at scale 2 anywhere
+    structure._update_estimates(structure._view(0), 2)  # no pool edges at scale 2 anywhere
     assert structure.estimates.dstar == before_ds
     assert structure.estimates.dlight == before_dl
 
@@ -338,12 +341,133 @@ def test_missing_estimate_is_a_hard_error():
 def test_fresh_pool_edge_without_estimate_is_a_hard_error():
     structure, _ = build([0.0, 1.0, 3.0], 16.0, mode="fast")
     edge = structure.base_edges()[0]
-    structure._check_fresh_entries([edge], [edge])
+    view = structure._view(2)
+    structure._check_fresh_entries(view, [edge], [edge])
     del structure.estimates.dstar[edge]
     with pytest.raises(RuntimeError, match="separation estimate"):
-        structure._check_fresh_entries([edge], [])
+        structure._check_fresh_entries(view, [edge], [])
     with pytest.raises(RuntimeError, match="separation estimate"):
-        structure._check_fresh_entries([], [edge])
+        structure._check_fresh_entries(view, [], [edge])
+
+
+def _reference_sketch(structure, center, at_scale):
+    """The sketch built the direct way: vertices from one ball query, the
+    middle band from a scan of every output edge, the low band pair by pair.
+    Also returns how many edges each band gave."""
+    iprime = max(0, scale_of(structure.eps_small * float(1 << at_scale)) - 1)
+    ids = sorted(structure.hierarchy.ball(iprime, center, 7.0 * (1 << at_scale)))
+    index = {pid: k for k, pid in enumerate(ids)}
+    m = distance_matrix(structure.space, ids)
+    rows, cols, data = [], [], []
+    low = 0
+    for a, b in structure.light:
+        if a in index and b in index:
+            w = float(m[index[a], index[b]])
+            if 2.0 ** (at_scale - 3) <= w < 2.0 ** (at_scale - 1):
+                rows.append(index[a])
+                cols.append(index[b])
+                data.append(w)
+    for ka in range(len(ids)):
+        for kb in range(ka + 1, len(ids)):
+            if m[ka, kb] < 2.0 ** (at_scale - 3):
+                value = structure.estimates.dlight[(ids[ka], ids[kb])].value
+                if not math.isinf(value):
+                    low += 1
+                    rows.append(ka)
+                    cols.append(kb)
+                    data.append(value)
+    graph = csr_matrix((data, (rows, cols)), shape=(len(ids), len(ids)))
+    return ids, graph, np.array([len(data) - low, low])
+
+
+def _assert_sketches_match_reference(structure, centers):
+    """Compare every scale's sketch around each center; return the band sizes."""
+    bands = np.zeros(2, dtype=int)
+    for center in centers:
+        view = structure._view(center)
+        for i in range(structure.top + 1):
+            members, graph = structure._build_sketch(view, i)
+            ids, want, sizes = _reference_sketch(structure, center, i)
+            bands += sizes
+            assert [view.ids[k] for k in members] == ids
+            assert graph.shape == want.shape
+            assert np.array_equal(graph.indptr, want.indptr)
+            assert np.array_equal(graph.indices, want.indices)
+            assert np.array_equal(graph.data, want.data)
+    return bands
+
+
+def test_sketch_matches_reference_in_the_plane():
+    rng = random.Random(23)
+    space = MetricSpace(2, 256.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="fast")
+    placed = {}
+    alive = []
+    bands = np.zeros(2, dtype=int)
+    for pid in range(48):
+        if len(alive) > 12 and rng.random() < 0.4:
+            x = alive.pop(rng.randrange(len(alive)))
+            structure.delete(x)
+        else:
+            while True:
+                c = (rng.uniform(0, 170), rng.uniform(0, 170))
+                if all(math.dist(c, placed[y]) >= 1.0 for y in alive):
+                    break
+            placed[pid] = c
+            structure.insert(pid, c)
+            alive.append(pid)
+            x = pid
+        if pid % 8 == 7:
+            # an active center, and the last update's, which may be deleted
+            bands = bands + _assert_sketches_match_reference(structure, [alive[0], x])
+    assert bands.all()
+
+
+def test_sketch_matches_reference_on_a_matrix_metric():
+    rng = random.Random(5)
+    n = 24
+    m = [[0.0 if a == b else rng.uniform(1.0, 30.0) for b in range(n)] for a in range(n)]
+    for a in range(n):
+        for b in range(a):
+            m[a][b] = m[b][a]
+    for k in range(n):  # shortest paths make it a metric
+        for a in range(n):
+            for b in range(n):
+                m[a][b] = min(m[a][b], m[a][k] + m[k][b])
+    space = DistanceMatrixSpace(m, 64.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="fast")
+    bands = np.zeros(2, dtype=int)
+    for pid in range(n):
+        structure.insert(pid, ())
+        if pid % 6 == 5:
+            structure.delete(pid - 3)
+            bands = bands + _assert_sketches_match_reference(structure, [pid, pid - 3])
+    assert bands.all()
+
+
+def test_fast_run_deletes_down_to_nothing():
+    rng = random.Random(8)
+    space = MetricSpace(2, 128.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="fast")
+    placed = []
+    for pid in range(24):
+        while True:
+            c = (rng.uniform(0, 85), rng.uniform(0, 85))
+            if all(math.dist(c, p) >= 1.0 for p in placed):
+                break
+        placed.append(c)
+        structure.insert(pid, c)
+    alive = list(range(24))
+    rng.shuffle(alive)
+    while alive:
+        structure.delete(alive.pop())
+        assert_clean(structure)
+        assert sweep_estimate_store(structure) == []
+    assert structure.light_edges() == [] and structure.base.edge_count() == 0
+    assert structure.estimates.dstar == {} and structure.estimates.dlight == {}
+    assert all(not members for members in structure.hierarchy.levels)
+    members, graph = structure._build_sketch(structure._view(0), structure.top)
+    assert len(members) == 0 and graph.shape == (0, 0)
 
 
 # -- cross-mode and metric-backend coverage --------------------------------------
