@@ -268,6 +268,7 @@ def run(config: ScenarioConfig) -> RunResult:
                             "time_ns": report.time_ns,
                             "ball_queries": report.ball_queries,
                             "relaxations": report.relaxations,
+                            "examined": report.examined,
                         }
                     )
                     + "\n"

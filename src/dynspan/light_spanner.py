@@ -10,11 +10,14 @@ guaranteed separation (1+eps/3) absorbs the drift in between.
 
 Two update strategies share all bookkeeping:
 
-* ``exact`` settles the revisited edges of each scale with one batched
-  Dijkstra search over the output edges below that scale, among the
-  points in a ball around the updated point, truncated at ``1+eps``
-  times the longest of those edges.  Nothing is memoised between
-  updates.
+* ``exact`` measures the updated point's distance to every active point
+  and takes one snapshot of the candidate pool per update, as arrays of
+  stored weights.  Each scale picks its revisited edges and the output
+  edges below it with masks over that snapshot, and settles the revisited
+  edges with one batched Dijkstra search over those output edges, among
+  the points within the scale's reach of the updated point, truncated at
+  ``1+eps`` times the longest revisited edge.  Nothing is memoised
+  between updates.
 * ``fast`` replaces the Dijkstra runs with cached coarse distance
   estimates read off small sketch graphs, refreshed only near the
   updated point.  Estimates are kept for the pairs of a net spanner
@@ -23,9 +26,11 @@ Two update strategies share all bookkeeping:
   as a view of the active set and never stored.  Each update measures
   the neighbourhood of the updated point once (a ``Neighbourhood``: every
   pair among the active points, and each point's distance to the updated
-  one), and every scale reads its refreshed pairs, its sketch's vertices
-  and distances, and its verdicts' weights from that one view.  A sketch
-  takes its output edges from the adjacency of its own vertices.
+  one), and every scale reads its refreshed pairs and its sketch's
+  vertices and distances from that one view.  The pool edges to decide
+  come, as in exact mode, from one snapshot of the candidate pool over the
+  view's points, masked per scale.  A sketch takes its output edges from
+  the adjacency of its own vertices.
 
 Inserts are rejected, leaving the structure as it was (the id stays
 used), unless the new point is at distance in [1, phi) from every active
@@ -88,6 +93,8 @@ class UpdateReport:
     relaxations: int
     """Finite (source, point) distances settled by the exact mode's batched
     searches, sources included; always 0 in fast mode."""
+    examined: int
+    """Pool pairs whose verdict the update computed, over all scales."""
     net_changes: list[Change]
 
 
@@ -110,7 +117,7 @@ class DynamicLightSpanner:
             raise ValueError(
                 f"fast mode supports phi <= {4.0 + 16.0 / self.eps_small:g} at eps={eps}"
             )
-        self.counters: dict[str, int] = {"ball_queries": 0, "relaxations": 0}
+        self.counters: dict[str, int] = {"ball_queries": 0, "relaxations": 0, "examined": 0}
         self.hierarchy = NetHierarchy(space, counters=self.counters)
         # base pool: candidates for the output; dense pool: the pairs that
         # carry cached estimates, read only in fast mode
@@ -118,23 +125,22 @@ class DynamicLightSpanner:
         self.dense = AllPairs(self.hierarchy)
         self.light: set[Edge] = set()
         self.estimates = EstimateStore()
-        self._light_adj: dict[int, dict[int, tuple[float, int]]] = {}
+        # the output as adjacency sets, read by the fast path's sketches
+        self._light_adj: dict[int, set[int]] = {}
 
     # -- output edge bookkeeping -----------------------------------------
 
     def _light_add(self, e: Edge) -> None:
         u, v = e
-        w = self.space.distance(u, v)
-        s = scale_of(w)
         self.light.add(e)
-        self._light_adj.setdefault(u, {})[v] = (w, s)
-        self._light_adj.setdefault(v, {})[u] = (w, s)
+        self._light_adj.setdefault(u, set()).add(v)
+        self._light_adj.setdefault(v, set()).add(u)
 
     def _light_remove(self, e: Edge) -> None:
         u, v = e
         self.light.remove(e)
-        del self._light_adj[u][v]
-        del self._light_adj[v][u]
+        self._light_adj[u].remove(v)
+        self._light_adj[v].remove(u)
         if not self._light_adj[u]:
             del self._light_adj[u]
         if not self._light_adj[v]:
@@ -162,6 +168,9 @@ class DynamicLightSpanner:
     def insert(self, pid: int, coords) -> UpdateReport:
         t0 = time.perf_counter_ns()
         before = dict(self.counters)
+        if not -(1 << 63) <= pid < 1 << 63:
+            # the candidate pool holds its endpoints in 64-bit columns
+            raise ValueError(f"point id {pid} does not fit in 64 bits")
         self.space.add_point(pid, coords)
         self._reject_out_of_range(pid)
         changes = self.hierarchy.insert(pid)
@@ -216,6 +225,7 @@ class DynamicLightSpanner:
             time_ns=time.perf_counter_ns() - t0,
             ball_queries=self.counters["ball_queries"] - before["ball_queries"],
             relaxations=self.counters["relaxations"] - before["relaxations"],
+            examined=self.counters["examined"] - before["examined"],
             net_changes=changes,
         )
 
@@ -224,57 +234,72 @@ class DynamicLightSpanner:
     def _reselect_exact(self, x: int, added: set[Edge], removed: set[Edge]) -> None:
         one = 1.0 + self.eps
         dist = self.space.distance
-        light = self.light
-        work = []
+        # Every active point, nearest first.  Each scale searches the prefix
+        # within its reach, which is the ball of that radius around x.  Under
+        # the [1, phi) input rule every active point lies within phi = 2**top
+        # of x, so whenever the top scale has pairs to decide, its reach (at
+        # least 4 * 2**top) takes in every point measured here.
+        near = sorted((dist(x, y), y) for y in self.hierarchy.levels[0])
+        d_x = np.array([d for d, _ in near], dtype=float)
+        pos = {y: k for k, (_, y) in enumerate(near)}
+        a, b, weights, edges = self.base.snapshot(pos)
+        scale = np.frexp(weights)[1]  # scale_of, bit for bit
+        reach = np.maximum(d_x[a], d_x[b])
+        in_output = self._in_output(pos, a, b)
         for i in range(self.top + 1):
-            pairs = self.base.edges_at_scale_in_ball(i, x, 4.0 * (1 << i))
-            if pairs:
-                weights = [dist(u, v) for u, v in pairs]
-                work.append((i, pairs, weights, one * max(weights)))
-        if not work:
-            return
-        # a path of length at most limit from a source within 4 * 2**i of x
-        # stays within 4 * 2**i + limit of x, so a search truncated at limit
-        # needs no point farther out; this radius grows with the scale, and
-        # the relative slack absorbs rounding in the triangle inequality
-        reach = [(4.0 * (1 << i) + limit) * (1.0 + 1e-9) for i, _, _, limit in work]
-        near = sorted((dist(x, y), y) for y in self.hierarchy.ball(0, x, reach[-1]))
-        for (i, pairs, weights, limit), r in zip(work, reach):
-            ids = [y for d, y in near if d <= r]
-            # built after the lower scales of this update have been applied,
-            # since the verdicts here read their output edges
-            index, graph = self._output_below(i, ids)
+            pairs = np.flatnonzero((scale == i) & (reach <= 4.0 * (1 << i)))
+            if not len(pairs):
+                continue
+            self.counters["examined"] += len(pairs)
+            limit = one * weights[pairs].max()
+            # a path of length at most limit from a source within 4 * 2**i of
+            # x stays within 4 * 2**i + limit of x, so a search truncated at
+            # limit needs no point farther out; the relative slack absorbs
+            # rounding in the triangle inequality
+            k = int(np.searchsorted(d_x, (4.0 * (1 << i) + limit) * (1.0 + 1e-9), side="right"))
+            # the output edges of lower scales among the first k points, with
+            # the verdicts of this update's lower scales already applied, as
+            # a CSR graph that holds both directions of each edge
+            below = np.flatnonzero(in_output & (scale < i) & (a < k) & (b < k))
+            tails = np.concatenate([a[below], b[below]])
+            order = np.argsort(tails)
+            indptr = np.zeros(k + 1, dtype=np.intp)
+            np.cumsum(np.bincount(tails, minlength=k), out=indptr[1:])
+            heads = np.concatenate([b[below], a[below]])[order]
+            graph = csr_matrix((np.tile(weights[below], 2)[order], heads, indptr), shape=(k, k))
             # each pair is searched from its smaller endpoint u, always the
             # same one: rounded path sums can depend on the direction
-            sources = sorted({u for u, _ in pairs})
-            rows = csgraph.dijkstra(
-                graph, directed=True, indices=[index[u] for u in sources], limit=limit
-            )
+            sources = np.unique(a[pairs])
+            rows = csgraph.dijkstra(graph, directed=True, indices=sources, limit=limit)
             self.counters["relaxations"] += int(np.count_nonzero(np.isfinite(rows)))
-            row_of = {u: k for k, u in enumerate(sources)}
-            found = rows[[row_of[u] for u, _ in pairs], [index[v] for _, v in pairs]]
-            covered = found <= one * np.asarray(weights)
-            for (u, v), c in zip(pairs, covered.tolist()):
-                if c == ((u, v) in light):  # a covered edge is kept, or the reverse
-                    self._apply(u, v, c, added, removed)
+            found = rows[np.searchsorted(sources, a[pairs]), b[pairs]]
+            self._settle(edges, pairs, found <= one * weights[pairs], in_output, added, removed)
 
-    def _output_below(self, scale: int, ids: list[int]) -> tuple[dict[int, int], csr_matrix]:
-        """The output edges of scale < ``scale`` among ``ids``, as a CSR graph
-        that holds both directions of each edge."""
-        index = {pid: k for k, pid in enumerate(ids)}
-        adj = self._light_adj
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        for pid in ids:
-            for y, (w, s) in adj.get(pid, {}).items():
-                k = index.get(y)
-                if s < scale and k is not None:
-                    indices.append(k)
-                    data.append(w)
-            indptr.append(len(indices))
-        n = len(ids)
-        return index, csr_matrix((data, indices, indptr), shape=(n, n))
+    def _in_output(self, pos: dict[int, int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each snapshot edge, at positions ``(a, b)`` of ``pos``, is
+        in the output."""
+        n = len(pos)
+        keys = [pos[u] * n + pos[v] for u, v in self.light if u in pos and v in pos]
+        return np.isin(a * n + b, keys)
+
+    def _settle(
+        self,
+        edges: tuple[np.ndarray, np.ndarray],
+        pairs: np.ndarray,
+        covered: np.ndarray,
+        in_output: np.ndarray,
+        added: set[Edge],
+        removed: set[Edge],
+    ) -> None:
+        """Apply the verdicts ``covered`` on the snapshot ``edges[pairs]``
+        that disagree with membership, in sorted edge order, and keep the
+        ``in_output`` flags in step."""
+        flips = pairs[covered == in_output[pairs]]
+        u, v = edges
+        for eu, ev, k in sorted(zip(u[flips].tolist(), v[flips].tolist(), flips.tolist())):
+            # a covered edge is kept, or the reverse: the verdict is the flag
+            self._apply(eu, ev, bool(in_output[k]), added, removed)
+            in_output[k] = not in_output[k]
 
     # -- fast strategy -------------------------------------------------------
 
@@ -285,26 +310,27 @@ class DynamicLightSpanner:
 
     def _reselect_fast(self, view: Neighbourhood, added: set[Edge], removed: set[Edge]) -> None:
         one = 1.0 + self.eps
-        x = view.center
         dstar = self.estimates.dstar
-        light = self.light
-        pos = view.pos
+        a, b, weights, edges = self.base.snapshot(view.pos)
+        scale = np.frexp(weights)[1]  # scale_of, bit for bit
+        reach = np.maximum(view.to_center[a], view.to_center[b])
+        in_output = self._in_output(view.pos, a, b)
+        u, v = edges
         for i in range(self.top + 1):
             self._update_estimates(view, i)
-            pairs = self.base.edges_at_scale_in_ball(i, x, 8.0 * (1 << i))
-            if not pairs:
+            pairs = np.flatnonzero((scale == i) & (reach <= 8.0 * (1 << i)))
+            if not len(pairs):
                 continue
+            self.counters["examined"] += len(pairs)
             try:
-                found = np.array([dstar[e].value for e in pairs])
+                found = np.array(
+                    [dstar[e].value for e in zip(u[pairs].tolist(), v[pairs].tolist())]
+                )
             except KeyError as missing:
                 raise RuntimeError(
                     f"missing separation estimate for pair {missing.args[0]}"
                 ) from None
-            weights = view.dist[[pos[u] for u, _ in pairs], [pos[v] for _, v in pairs]]
-            covered = found <= one * weights
-            for (u, v), c in zip(pairs, covered.tolist()):
-                if c == ((u, v) in light):  # a covered edge is kept, or the reverse
-                    self._apply(u, v, c, added, removed)
+            self._settle(edges, pairs, found <= one * weights[pairs], in_output, added, removed)
 
     def _update_estimates(self, view: Neighbourhood, i: int) -> None:
         """Refresh cached estimates for pairs near the view's center at scale

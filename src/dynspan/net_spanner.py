@@ -2,8 +2,11 @@
 
 Two points u, v are joined by an edge when some level i of the hierarchy
 contains both and their distance is at most ``c * 2**i`` with
-``c = 4 + 16 / eps``.  The edges are a plain set, held as a partner index
-by length scale.
+``c = 4 + 16 / eps``.  The edges are a plain set, held as flat columns of
+endpoints and weights: each edge's weight is measured once, when it joins,
+and every later reader takes the stored value.  ``snapshot`` hands an
+update the edges among the points it has measured, as arrays, so that the
+update can pick each scale's edges with masks.
 
 The hierarchy never removes a surviving point from a level: an insert only
 adds the new point, and a delete removes only the deleted point, from every
@@ -37,9 +40,9 @@ def _pair(u: int, v: int) -> Edge:
 class NetSpanner:
     """Edge set over hierarchy levels, kept in sync with membership events.
 
-    A per-(scale, point) partner index holds the edges, so all edges of a
-    given length scale inside a metric ball can be enumerated without
-    touching the rest of the graph.
+    The edges are three flat columns in no fixed order: edge k joins
+    ``u[k] < v[k]`` and weighs ``w[k] == space.distance(u[k], v[k])``,
+    measured once, when the edge joined.
     """
 
     def __init__(self, hierarchy: NetHierarchy, eps: float):
@@ -48,8 +51,9 @@ class NetSpanner:
         self.hierarchy = hierarchy
         self.eps = eps
         self.c = 4.0 + 16.0 / eps
-        # scale -> point -> partners
-        self.by_scale: dict[int, dict[int, set[int]]] = {}
+        self.u = np.empty(0, dtype=np.int64)
+        self.v = np.empty(0, dtype=np.int64)
+        self.w = np.empty(0)
 
     # -- synchronisation ------------------------------------------------
 
@@ -61,36 +65,35 @@ class NetSpanner:
         changing nothing, if a removal event names an active point.
         """
         hier = self.hierarchy
+        dist = hier.space.distance
         for level, pid, was_added in changeset:
             if not was_added and pid in hier.levels[0]:
                 raise ValueError(f"point {pid} left level {level} but is still active")
         added: list[Edge] = []
         removed: list[Edge] = []
         for level, pid, was_added in changeset:
+            mine = (self.u == pid) | (self.v == pid)
             if was_added:
-                known = {pid}.union(*(pp.get(pid, ()) for pp in self.by_scale.values()))
+                known = {pid}.union(self.u[mine].tolist(), self.v[mine].tolist())
+                new = []
                 for y in hier.ball(level, pid, self.c * float(1 << level)):
                     if y not in known:
                         known.add(y)
-                        per_point = self.by_scale.setdefault(self.edge_scale(pid, y), {})
-                        per_point.setdefault(pid, set()).add(y)
-                        per_point.setdefault(y, set()).add(pid)
-                        added.append(_pair(pid, y))
-            else:
-                for s in list(self.by_scale):
-                    per_point = self.by_scale[s]
-                    for y in per_point.pop(pid, ()):
-                        per_point[y].discard(pid)
-                        if not per_point[y]:
-                            del per_point[y]
-                        removed.append(_pair(pid, y))
-                    if not per_point:
-                        del self.by_scale[s]
+                        new.append(_pair(pid, y))
+                if new:
+                    self.u = np.concatenate([self.u, [u for u, _ in new]])
+                    self.v = np.concatenate([self.v, [v for _, v in new]])
+                    self.w = np.concatenate([self.w, [dist(u, v) for u, v in new]])
+                    added += new
+            elif mine.any():
+                removed += zip(self.u[mine].tolist(), self.v[mine].tolist())
+                keep = ~mine
+                self.u, self.v, self.w = self.u[keep], self.v[keep], self.w[keep]
         return (sorted(added), sorted(removed))
 
     def rebuild(self) -> None:
         """Recompute the edge set from scratch (testing aid)."""
-        self.by_scale.clear()
+        self.u, self.v, self.w = self.u[:0], self.v[:0], self.w[:0]
         self.sync([
             (level, pid, True)
             for level, members in enumerate(self.hierarchy.levels)
@@ -100,67 +103,58 @@ class NetSpanner:
     # -- queries ---------------------------------------------------------
 
     def contains(self, u: int, v: int) -> bool:
-        return any(v in per_point.get(u, ()) for per_point in self.by_scale.values())
+        u, v = _pair(u, v)
+        return bool(np.any((self.u == u) & (self.v == v)))
 
-    def edge_scale(self, u: int, v: int) -> int:
-        return scale_of(self.hierarchy.space.distance(u, v))
+    def _weighted(self) -> list[tuple[int, int, float]]:
+        """Every edge as ``(u, v, weight)``, sorted."""
+        order = np.lexsort((self.v, self.u))
+        return list(zip(self.u[order].tolist(), self.v[order].tolist(), self.w[order].tolist()))
 
     def edges(self) -> list[Edge]:
-        return sorted(
-            (u, v)
-            for per_point in self.by_scale.values()
-            for u, partners in per_point.items()
-            for v in partners
-            if u < v
-        )
+        return [(u, v) for u, v, _ in self._weighted()]
 
     def edge_count(self) -> int:
-        return sum(
-            len(partners) for per_point in self.by_scale.values() for partners in per_point.values()
-        ) // 2
+        return len(self.u)
 
     def total_weight(self) -> float:
-        dist = self.hierarchy.space.distance
-        return sum(dist(u, v) for u, v in self.edges())
+        return sum(w for _, _, w in self._weighted())
 
     def max_degree(self) -> int:
-        deg: dict[int, int] = {}
-        for per_point in self.by_scale.values():
-            for u, partners in per_point.items():
-                deg[u] = deg.get(u, 0) + len(partners)
-        return max(deg.values(), default=0)
+        if not len(self.u):
+            return 0
+        return int(np.unique(np.concatenate([self.u, self.v]), return_counts=True)[1].max())
+
+    def snapshot(
+        self, pos: dict[int, int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Every edge with both endpoints in ``pos`` (point id -> position),
+        in no fixed order: the positions ``a`` of u and ``b`` of v, the
+        weights, and the edges themselves as id arrays ``(u, v)``, u < v."""
+        if not pos:
+            none = np.empty(0, dtype=np.intp)
+            return none, none, self.w[:0], (self.u[:0], self.v[:0])
+        # pos as parallel arrays sorted by id, looked up by binary search
+        ids = np.fromiter(pos, dtype=np.int64, count=len(pos))
+        at = np.fromiter(pos.values(), dtype=np.intp, count=len(pos))
+        by_id = np.argsort(ids)
+        ids, at = ids[by_id], at[by_id]
+        ku = np.minimum(np.searchsorted(ids, self.u), len(ids) - 1)
+        kv = np.minimum(np.searchsorted(ids, self.v), len(ids) - 1)
+        keep = np.flatnonzero((ids[ku] == self.u) & (ids[kv] == self.v))
+        return at[ku[keep]], at[kv[keep]], self.w[keep], (self.u[keep], self.v[keep])
 
     def edges_at_scale_in_ball(self, ascale: int, center: int, r: float) -> list[Edge]:
-        """All edges of scale ``ascale`` with both endpoints within r of center.
-
-        Every edge of scale i is formed at some level >= i - scale_of(c),
-        so by nesting both endpoints appear in that level's net; one ball
-        query there plus the partner index covers all candidates.
-        """
-        per_point = self.by_scale.get(ascale)
-        if not per_point:
-            return []
-        lmin = max(0, ascale - scale_of(self.c))
-        inside = set(self.hierarchy.ball(lmin, center, r))
-        out: list[Edge] = []
-        for u in inside:
-            partners = per_point.get(u)
-            if not partners:
-                continue
-            for v in partners:
-                if u < v and v in inside:
-                    out.append((u, v))
-        out.sort()
-        return out
+        """All edges of scale ``ascale`` with both endpoints within r of center."""
+        inside = self.hierarchy.ball(0, center, r)
+        _, _, weights, (u, v) = self.snapshot({pid: k for k, pid in enumerate(inside)})
+        # frexp's exponent is scale_of, bit for bit
+        keep = np.frexp(weights)[1] == ascale
+        return sorted(zip(u[keep].tolist(), v[keep].tolist()))
 
     def dump(self) -> str:
         """One line per edge, ``u v length scale``, sorted by endpoints."""
-        dist = self.hierarchy.space.distance
-        lines = []
-        for u, v in self.edges():
-            d = dist(u, v)
-            lines.append(f"{u} {v} {d!r} {scale_of(d)}")
-        return "\n".join(lines)
+        return "\n".join(f"{u} {v} {w!r} {scale_of(w)}" for u, v, w in self._weighted())
 
 
 class Neighbourhood:

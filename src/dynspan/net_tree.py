@@ -99,7 +99,7 @@ class NetHierarchy:
         threshold = self.top + 1
         for j, candidates in self._descend(pid, 0.0, 0):
             limit = float(1 << j)
-            if any(self.space.distance(pid, y) < limit for y in candidates):
+            if any(d < limit for d in candidates.values()):
                 threshold = j
         return threshold
 
@@ -165,19 +165,20 @@ class NetHierarchy:
         self.counters["ball_queries"] = self.counters.get("ball_queries", 0) + 1
         if r < 0:
             return []
-        members: list[int] = []
+        members: dict[int, float] = {}
         for _, members in self._descend(center, r, level):
             pass
-        dist = self.space.distance
-        return [y for y in members if dist(center, y) <= r]
+        return [y for y, d in members.items() if d <= r]
 
     def _descend(self, center: int, r: float, low: int):
-        """Yield (j, level-j members within r + 4 * 2**j of center) for each j
-        from the highest populated level down to ``low``.
+        """Yield (j, {member: distance to center}) for the level-j members
+        within r + 4 * 2**j of center, for each j from the highest populated
+        level down to ``low``.
 
         Each set is complete: a member within that radius has its covering
         parent (within 2 * 2**j of it) in the set one level up, and that
-        parent lists it as a level-j neighbour.
+        parent lists it as a level-j neighbour.  Each distance is measured
+        once per descent, as ``space.distance(center, y)``.
         """
         dist = self.space.distance
         high = self.top
@@ -185,23 +186,27 @@ class NetHierarchy:
             high -= 1
         if high < low:
             return
+        measured = {y: dist(center, y) for y in self.levels[high]}
         radius = r + (1 << (high + 2))
-        candidates = [y for y in self.levels[high] if dist(center, y) <= radius]
+        candidates = {y: d for y, d in measured.items() if d <= radius}
         yield high, candidates
         for j in range(high - 1, low - 1, -1):
             radius = r + (1 << (j + 2))
-            nxt: list[int] = []
+            nxt: dict[int, float] = {}
             seen: set[int] = set()
-            for z in candidates:
+            for z, dz in candidates.items():
                 if z not in seen and z in self.levels[j]:
                     seen.add(z)
-                    if dist(center, z) <= radius:
-                        nxt.append(z)
+                    if dz <= radius:
+                        nxt[z] = dz
                 for y in self.neighbors[j].get(z, ()):
                     if y not in seen:
                         seen.add(y)
-                        if dist(center, y) <= radius:
-                            nxt.append(y)
+                        d = measured.get(y)
+                        if d is None:
+                            d = measured[y] = dist(center, y)
+                        if d <= radius:
+                            nxt[y] = d
             candidates = nxt
             yield j, candidates
 

@@ -225,11 +225,13 @@ def test_run_writes_one_json_line_per_update(tmp_path):
     result = run(config)
     lines = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(lines) == result.summary.updates == 6
-    keys = {"op", "id", "added", "removed", "time_ns", "ball_queries", "relaxations"}
+    keys = {"op", "id", "added", "removed", "time_ns", "ball_queries", "relaxations", "examined"}
     assert all(set(line) == keys for line in lines)
     assert [line["ball_queries"] for line in lines] == [r.ball_queries for r in result.reports]
     assert [line["relaxations"] for line in lines] == [r.relaxations for r in result.reports]
+    assert [line["examined"] for line in lines] == [r.examined for r in result.reports]
     assert sum(line["relaxations"] for line in lines) > 0
+    assert sum(line["examined"] for line in lines) > 0
     assert [line["id"] for line in lines] == [0, 1, 2, 3, 4, 5]
 
 

@@ -137,6 +137,9 @@ def test_insert_rejects_out_of_range_points(mode):
         with pytest.raises(ValueError):
             structure.insert(pid, (x,))
         assert state() == before
+    with pytest.raises(ValueError):
+        structure.insert(1 << 63, (8.0,))  # ids are held in 64-bit columns
+    assert state() == before
     with pytest.raises(KeyError):
         structure.insert(0, (40.0,))  # an active id
     with pytest.raises(KeyError):

@@ -1,9 +1,12 @@
 """Net spanner edges kept in sync with hierarchy changesets."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynspan.metric import MetricSpace, scale_of
+from dynspan.metric import DistanceMatrixSpace, MetricSpace, scale_of
 from dynspan.net_spanner import NetSpanner
 from dynspan.net_tree import NetHierarchy
 from dynspan.oracle import max_stretch
@@ -121,6 +124,56 @@ def test_edges_at_scale_in_ball_on_path_16():
     assert len(got) == 11  # unit edges among coordinates 1..12
     assert spanner.edges_at_scale_in_ball(1, 3, 0.5) == []
     assert spanner.edges_at_scale_in_ball(4, 3, 0.5) == []
+
+
+def _separated_points(rng, count, side):
+    pts = []
+    while len(pts) < count:
+        c = (rng.uniform(0.0, side), rng.uniform(0.0, side))
+        if all(math.dist(c, p) >= 1.0 for p in pts):
+            pts.append(c)
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["plane", "matrix"])
+def test_pool_weights_are_the_measured_distances(kind):
+    rng = random.Random(17)
+    pts = _separated_points(rng, 40, 60.0)
+    if kind == "plane":
+        space = MetricSpace(2, 128.0)
+    else:
+        space = DistanceMatrixSpace([[math.dist(p, q) for q in pts] for p in pts], 128.0)
+    hier = NetHierarchy(space)
+    spanner = NetSpanner(hier, 0.5)
+    alive, fresh = [], list(range(len(pts)))
+    for _ in range(70):
+        if fresh and (len(alive) < 3 or rng.random() < 0.6):
+            pid = fresh.pop(0)
+            space.add_point(pid, pts[pid] if kind == "plane" else ())
+            spanner.sync(hier.insert(pid))
+            alive.append(pid)
+        else:
+            pid = alive.pop(rng.randrange(len(alive)))
+            changes = hier.delete(pid)
+            space.remove_point(pid)
+            spanner.sync(changes)
+        # every stored weight is the measured distance
+        stored = list(zip(spanner.u.tolist(), spanner.v.tolist(), spanner.w.tolist()))
+        assert len(stored) == len({(u, v) for u, v, _ in stored}) == spanner.edge_count()
+        assert all(u < v and w == space.distance(u, v) for u, v, w in stored)
+        # a snapshot is the brute-force filter of the edge list
+        chosen = rng.sample(alive, rng.randrange(len(alive) + 1))
+        pos = {pid: k for k, pid in enumerate(chosen)}
+        a, b, weights, (u, v) = spanner.snapshot(pos)
+        got = sorted(zip(u.tolist(), v.tolist(), a.tolist(), b.tolist(), weights.tolist()))
+        assert got == [
+            (u, v, pos[u], pos[v], space.distance(u, v))
+            for u, v in spanner.edges()
+            if u in pos and v in pos
+        ]
+        # and the index is the one a rebuild makes
+        spanner.rebuild()
+        assert sorted(zip(spanner.u.tolist(), spanner.v.tolist(), spanner.w.tolist())) == sorted(stored)
 
 
 def test_every_edge_has_a_witnessing_level():
