@@ -7,7 +7,7 @@ reference oracles and a benchmark harness.
 """
 
 from .harness import RunResult, RunSummary, ScenarioConfig, build_structure, lightness_sweep, run
-from .light_spanner import DynamicLightSpanner, EstimateStore, StoredEstimate, UpdateReport
+from .light_spanner import DynamicLightSpanner, EstimateStore, UpdateReport
 from .metric import DistanceMatrixSpace, MetricSpace, scale_of, validate_bounded
 from .net_spanner import NetSpanner
 from .net_tree import NetHierarchy
@@ -24,7 +24,6 @@ __all__ = [
     "RunResult",
     "RunSummary",
     "ScenarioConfig",
-    "StoredEstimate",
     "UpdateReport",
     "build_structure",
     "lightness_sweep",

@@ -22,15 +22,16 @@ Two update strategies share all bookkeeping:
   estimates read off small sketch graphs, refreshed only near the
   updated point.  Estimates are kept for the pairs of a net spanner
   built with a much smaller eps (``eps_small``); fast mode accepts only
-  phi at which that spanner holds every active pair, so the pool is read
-  as a view of the active set and never stored.  Each update measures
-  the neighbourhood of the updated point once (a ``Neighbourhood``: every
-  pair among the active points, and each point's distance to the updated
-  one), and every scale reads its refreshed pairs and its sketch's
-  vertices and distances from that one view.  The pool edges to decide
-  come, as in exact mode, from one snapshot of the candidate pool over the
-  view's points, masked per scale.  A sketch takes its output edges from
-  the adjacency of its own vertices.
+  phi at which that spanner holds every active pair, so that pool is one
+  table of the active pairs' distances (``AllPairs``), each pair measured
+  once, when its later point joins.  Each update measures only each
+  active point's distance to the updated one (a ``Neighbourhood``), and
+  every scale reads its refreshed pairs and its sketch's vertices and
+  distances from that one view.  The pool edges to decide come, as in
+  exact mode, from one snapshot of the candidate pool over the view's
+  points, masked per scale.  A sketch takes its output edges from the
+  adjacency of its own vertices.  An estimate is a plain float, since
+  its pair's scale fixes its approximation factor.
 
 Inserts are rejected, leaving the structure as it was (the id stays
 used), unless the new point is at distance in [1, phi) from every active
@@ -62,12 +63,6 @@ INF = math.inf
 KAPPA = 342
 
 
-@dataclass(slots=True)
-class StoredEstimate:
-    value: float
-    alpha: float  # guaranteed approximation factor recorded at write time
-
-
 @dataclass
 class EstimateStore:
     """Cached coarse distances, keyed by candidate-pool edge.
@@ -75,10 +70,11 @@ class EstimateStore:
     ``dstar`` approximates the distance over output edges strictly below
     the pair's own scale; ``dlight`` approximates the plain distance over
     all output edges and is refreshed two scale iterations after the
-    pair's own scale."""
+    pair's own scale.  An entry written at scale iteration i is within
+    the factor ``1 + KAPPA * i * eps_small`` of its target."""
 
-    dstar: dict[Edge, StoredEstimate] = field(default_factory=dict)
-    dlight: dict[Edge, StoredEstimate] = field(default_factory=dict)
+    dstar: dict[Edge, float] = field(default_factory=dict)
+    dlight: dict[Edge, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -119,8 +115,9 @@ class DynamicLightSpanner:
             )
         self.counters: dict[str, int] = {"ball_queries": 0, "relaxations": 0, "examined": 0}
         self.hierarchy = NetHierarchy(space, counters=self.counters)
-        # base pool: candidates for the output; dense pool: the pairs that
-        # carry cached estimates, read only in fast mode
+        # base pool: candidates for the output; dense pool: the distance
+        # table of the pairs that carry cached estimates, kept only in
+        # fast mode
         self.base = NetSpanner(self.hierarchy, self.eps)
         self.dense = AllPairs(self.hierarchy)
         self.light: set[Edge] = set()
@@ -304,9 +301,10 @@ class DynamicLightSpanner:
     # -- fast strategy -------------------------------------------------------
 
     def _view(self, x: int) -> Neighbourhood:
-        """Every active point near x, measured once: out to the largest radius
-        that any scale of an update around x reads."""
-        return Neighbourhood(self.hierarchy, x, 8.0 * (1 << self.top))
+        """The dense pool's table seen from x.  It holds every active point,
+        which under the [1, phi) rule is every point within 8 * 2**top of
+        x, the largest radius that any scale of an update around x reads."""
+        return Neighbourhood(self.dense, x)
 
     def _reselect_fast(self, view: Neighbourhood, added: set[Edge], removed: set[Edge]) -> None:
         one = 1.0 + self.eps
@@ -323,9 +321,7 @@ class DynamicLightSpanner:
                 continue
             self.counters["examined"] += len(pairs)
             try:
-                found = np.array(
-                    [dstar[e].value for e in zip(u[pairs].tolist(), v[pairs].tolist())]
-                )
+                found = np.array([dstar[e] for e in zip(u[pairs].tolist(), v[pairs].tolist())])
             except KeyError as missing:
                 raise RuntimeError(
                     f"missing separation estimate for pair {missing.args[0]}"
@@ -342,7 +338,6 @@ class DynamicLightSpanner:
         if not len(pairs_dl[0]) and not len(pairs_ds[0]):
             return
         members, graph = self._build_sketch(view, i)
-        alpha = 1.0 + KAPPA * i * self.eps_small
         # view position -> sketch vertex, and -> Dijkstra row, or -1
         vertex = np.full(len(view.ids), -1)
         vertex[members] = np.arange(len(members))
@@ -356,13 +351,12 @@ class DynamicLightSpanner:
             else np.empty((0, len(members)))
         )
 
-        def store(table: dict[Edge, StoredEstimate], first: np.ndarray, second: np.ndarray) -> None:
+        def store(table: dict[Edge, float], first: np.ndarray, second: np.ndarray) -> None:
             at, to = row[first], vertex[second]
             ok = (at >= 0) & (to >= 0)
             values = np.full(len(first), INF)
             values[ok] = mat[at[ok], to[ok]]
-            for e, value in zip(view.edges(first, second), values.tolist()):
-                table[e] = StoredEstimate(value, alpha)
+            table.update(zip(view.edges(first, second), values.tolist()))
 
         store(self.estimates.dlight, *pairs_dl)
         store(self.estimates.dstar, *pairs_ds)
@@ -374,7 +368,7 @@ class DynamicLightSpanner:
         positions in ascending order.  Pairs in the middle distance band
         contribute an edge exactly when they are currently in the output;
         pairs in the low band always contribute an edge, weighted by their
-        cached output-graph distance.  Bands are read off ``view.matrix``.
+        cached output-graph distance.  Bands are read off ``view.dist``.
         """
         iprime = max(0, scale_of(self.eps_small * float(1 << at_scale)) - 1)
         level = self.hierarchy.levels[iprime]
@@ -382,7 +376,7 @@ class DynamicLightSpanner:
         near = np.flatnonzero(view.to_center <= 7.0 * (1 << at_scale))
         members = np.array([k for k in near.tolist() if ids[k] in level], dtype=np.intp)
         n = len(members)
-        m = view.matrix[np.ix_(members, members)]
+        m = view.dist[np.ix_(members, members)]
         band1_hi = 2.0 ** (at_scale - 1)
         band1_lo = 2.0 ** (at_scale - 3)
         band2_hi = band1_lo
@@ -408,10 +402,10 @@ class DynamicLightSpanner:
         estimated: list[float] = []
         for ja, jb in zip(rows2.tolist(), cols2.tolist()):
             pair = (sketch_ids[ja], sketch_ids[jb])
-            entry = dlight.get(pair)
-            if entry is None:
+            value = dlight.get(pair)
+            if value is None:
                 raise RuntimeError(f"missing output-distance estimate for pair {pair}")
-            estimated.append(entry.value)
+            estimated.append(value)
         w2 = np.array(estimated, dtype=float)
         low = ~np.isinf(w2)
         rows = np.concatenate([rows1[mid], rows2[low]])
@@ -420,7 +414,10 @@ class DynamicLightSpanner:
         return members, csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def estimate(self, u: int, v: int, at_scale: int, center: int) -> float:
-        """Coarse distance between u and v read off one sketch graph."""
+        """Coarse distance between u and v read off one sketch graph; fast
+        mode only, since exact mode keeps no estimates to build it from."""
+        if self.mode != "fast":
+            raise ValueError("estimate needs mode='fast'")
         view = self._view(center)
         members, graph = self._build_sketch(view, at_scale)
         vertex = {view.ids[k]: j for j, k in enumerate(members.tolist())}
@@ -485,7 +482,7 @@ class DynamicLightSpanner:
             s = scale_of(self.space.distance(u, v))
             a = self.estimates.dstar.get((u, v))
             b = self.estimates.dlight.get((u, v))
-            sa = repr(a.value) if a else "-"
-            sb = repr(b.value) if b else "-"
+            sa = "-" if a is None else repr(a)
+            sb = "-" if b is None else repr(b)
             lines.append(f"{u} {v} {s} {sa} {sb}")
         return "\n".join(lines)

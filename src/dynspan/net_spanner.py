@@ -16,18 +16,19 @@ event drops every edge of its point, and is refused while the point is still
 active.  An addition event adds the pairs its point forms at that level,
 found with one ball query against the hierarchy's final state.
 
-``AllPairs`` stands for the pool holding every active pair, and
-``Neighbourhood`` is its measured form around one point: the fast update
-path builds one per update and reads every scale's pairs from it.
+``AllPairs`` stands for the pool holding every active pair, as one table
+of their distances kept across updates, and ``Neighbourhood`` is that
+table seen from one point: the fast update path builds one per update and
+reads every scale's pairs from it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from bisect import bisect_left
 
 import numpy as np
 
-from .metric import distance_matrix, scale_of
+from .metric import scale_of
 from .net_tree import Change, NetHierarchy
 
 Edge = tuple[int, int]
@@ -158,40 +159,22 @@ class NetSpanner:
 
 
 class Neighbourhood:
-    """The active points within r of a center, each distance among them
-    measured once.
+    """The pool's distance table seen from one center.
 
-    ``ids`` is sorted, and position k of every array stands for ``ids[k]``.
-    ``to_center[k]`` is ``space.distance(center, ids[k])``, and
-    ``dist[a, b] == dist[b, a]`` is ``space.distance(ids[a], ids[b])`` for
-    a < b, so weights and scales read here equal those measured pair by pair.
+    ``ids``, ``pos`` and ``dist`` are the ``AllPairs`` table's own, so no
+    pair is measured here; ``to_center[k]`` is
+    ``space.distance(center, ids[k])``, the only distances measured.
     """
 
-    def __init__(self, hierarchy: NetHierarchy, center: int, r: float):
-        self.space = space = hierarchy.space
-        dist = space.distance
-        self.center = center
-        self.ids = ids = sorted(hierarchy.ball(0, center, r))
-        self.pos = {pid: k for k, pid in enumerate(ids)}
-        self.to_center = np.array([dist(center, y) for y in ids], dtype=float)
+    def __init__(self, pool: AllPairs, center: int):
+        dist = pool.hierarchy.space.distance
+        self.ids, self.pos, self.dist = pool.ids, pool.pos, pool.dist
+        self.to_center = np.array([dist(center, y) for y in self.ids], dtype=float)
         # every pair a < b once, in row-major order, so in sorted (u, v) order
-        first, second = np.triu_indices(len(ids), 1)
-        measured = np.array(
-            [dist(ids[a], ids[b]) for a, b in zip(first.tolist(), second.tolist())], dtype=float
-        )
-        self.dist = np.zeros((len(ids), len(ids)))
-        self.dist[first, second] = measured
-        self.dist[second, first] = measured
-        self._first, self._second = first, second
+        self._first, self._second = np.triu_indices(len(self.ids), 1)
         # frexp's exponent is scale_of, bit for bit
-        self._pair_scale = np.frexp(measured)[1]
-        self._pair_reach = np.maximum(self.to_center[first], self.to_center[second])
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """``distance_matrix`` of ``ids``, which may differ from ``dist`` in
-        the last bit."""
-        return distance_matrix(self.space, self.ids)
+        self._pair_scale = np.frexp(self.dist[self._first, self._second])[1]
+        self._pair_reach = np.maximum(self.to_center[self._first], self.to_center[self._second])
 
     def scale(self, u: int, v: int) -> int:
         return scale_of(float(self.dist[self.pos[u], self.pos[v]]))
@@ -208,30 +191,45 @@ class Neighbourhood:
 
 
 class AllPairs:
-    """Every pair of active points, as a stateless view of the hierarchy.
+    """Every pair of active points, as one distance table kept across updates.
 
-    It has ``NetSpanner``'s ``sync``, ``edge_count`` and
-    ``edges_at_scale_in_ball``.  The fast update path calls ``sync`` and
-    reads the pairs off its update's ``Neighbourhood``, as
-    ``edges_at_scale_in_ball`` does.
-    A ``NetSpanner`` with ``c >= phi`` holds exactly these pairs, since
-    level 0 is the whole active set and every active pair is closer than
-    phi; this view gives them without storing them.
+    ``ids`` is the sorted active set, ``pos`` maps each id to its index, and
+    ``dist[a, b] == dist[b, a]`` is ``space.distance(ids[a], ids[b])`` for
+    a < b, measured once, when the later point joined.  A ``NetSpanner``
+    with ``c >= phi`` holds exactly these pairs, since level 0 is the whole
+    active set and every active pair is closer than phi.  Only the fast
+    update path calls ``sync``; ``edge_count`` counts the active pairs.
     """
 
     def __init__(self, hierarchy: NetHierarchy):
         self.hierarchy = hierarchy
+        self.ids: list[int] = []
+        self.pos: dict[int, int] = {}
+        self.dist = np.zeros((0, 0))
 
     def sync(self, changeset: list[Change]) -> tuple[list[Edge], list[Edge]]:
-        """Pairs gained and lost by the points whose level-0 membership changed."""
-        active = self.hierarchy.levels[0]
+        """Add a measured row for each point that joined level 0 and drop the
+        row of each point that left; return the pairs gained and lost."""
+        dist = self.hierarchy.space.distance
         added: list[Edge] = []
         removed: list[Edge] = []
         for level, pid, was_added in changeset:
             if level != 0:
                 continue
-            pairs = [_pair(pid, y) for y in active if y != pid]
-            (added if was_added else removed).extend(pairs)
+            ids = self.ids
+            if was_added:
+                k = bisect_left(ids, pid)
+                row = [dist(*_pair(pid, y)) for y in ids]
+                grown = np.insert(self.dist, k, row, axis=0)
+                self.dist = np.insert(grown, k, np.insert(row, k, 0.0), axis=1)
+                self.ids = ids[:k] + [pid] + ids[k:]
+                added += [_pair(pid, y) for y in ids]
+            else:
+                k = self.pos[pid]
+                self.dist = np.delete(np.delete(self.dist, k, axis=0), k, axis=1)
+                self.ids = ids[:k] + ids[k + 1:]
+                removed += [_pair(pid, y) for y in self.ids]
+            self.pos = {y: j for j, y in enumerate(self.ids)}
         return (sorted(added), sorted(removed))
 
     def edge_count(self) -> int:
@@ -240,5 +238,5 @@ class AllPairs:
 
     def edges_at_scale_in_ball(self, ascale: int, center: int, r: float) -> list[Edge]:
         """All active pairs of scale ``ascale`` with both endpoints within r of center."""
-        view = Neighbourhood(self.hierarchy, center, r)
+        view = Neighbourhood(self, center)
         return view.edges(*view.pairs(ascale, r))

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .light_spanner import KAPPA
 from .metric import scale_of
 
 Edge = tuple[int, int]
@@ -362,12 +363,18 @@ def sweep_estimate_store(structure, slack: float = 1e-9) -> list[str]:
     """Check every stored distance estimate against brute-force truth.
 
     Entries keyed to pairs whose scale bucket they were written for are
-    compared with the coarse predicate at that bucket's base distance.
-    Returns one message per failing entry.
+    compared with the coarse predicate at that bucket's base distance.  A
+    pair of scale s has its ``dstar`` entry written at scale iteration s
+    and its ``dlight`` entry at s + 2, and an entry written at iteration i
+    must be within ``1 + KAPPA * i * eps_small``.  Returns one message per
+    failing entry.
     """
     space = structure.space
     light = structure.light_edges()
     failures: list[str] = []
+
+    def alpha(i: int) -> float:
+        return 1.0 + KAPPA * i * structure.eps_small
 
     weighted = [(a, b, space.distance(a, b)) for a, b in light]
     adj = build_adjacency(weighted)
@@ -386,28 +393,24 @@ def sweep_estimate_store(structure, slack: float = 1e-9) -> list[str]:
         return sub_adj_cache[s]
 
     groups: dict[tuple[int, int], list] = {}
-    for (u, v), entry in structure.estimates.dstar.items():
+    for (u, v), est in structure.estimates.dstar.items():
         s = scale_of(space.distance(u, v))
-        groups.setdefault((s, u), []).append((v, entry))
+        groups.setdefault((s, u), []).append((v, est))
     for s, u in sorted(groups):
         dmap = dijkstra(adjacency_below(s), u)
-        for v, entry in groups[(s, u)]:
+        for v, est in groups[(s, u)]:
             exact = dmap.get(v, INF)
-            if not coarse_approx_ok(entry.value, exact, entry.alpha, float(1 << s), slack):
-                failures.append(
-                    f"dstar {u} {v} est={entry.value!r} exact={exact!r} scale={s}"
-                )
+            if not coarse_approx_ok(est, exact, alpha(s), float(1 << s), slack):
+                failures.append(f"dstar {u} {v} est={est!r} exact={exact!r} scale={s}")
 
-    for (u, v), entry in sorted(structure.estimates.dlight.items()):
+    for (u, v), est in sorted(structure.estimates.dlight.items()):
         if u not in full_from:
             full_from[u] = dijkstra(adj, u)
         exact = full_from[u].get(v, INF)
         s = scale_of(space.distance(u, v))
         base = float(1 << (s + 2))
-        if not coarse_approx_ok(entry.value, exact, entry.alpha, base, slack):
-            failures.append(
-                f"dlight {u} {v} est={entry.value!r} exact={exact!r} scale={s}"
-            )
+        if not coarse_approx_ok(est, exact, alpha(s + 2), base, slack):
+            failures.append(f"dlight {u} {v} est={est!r} exact={exact!r} scale={s}")
     return failures
 
 

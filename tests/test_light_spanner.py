@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from dynspan.light_spanner import KAPPA, DynamicLightSpanner
-from dynspan.metric import DistanceMatrixSpace, MetricSpace, distance_matrix, scale_of
+from dynspan.light_spanner import DynamicLightSpanner
+from dynspan.metric import DistanceMatrixSpace, MetricSpace, scale_of
 from dynspan.oracle import (
     check_invariants,
     dstar,
@@ -247,8 +247,26 @@ def test_fast_random_mixed_run_stays_clean():
     rng = random.Random(9)
     space = MetricSpace(2, 256.0)
     structure = DynamicLightSpanner(space, 0.5, mode="fast")
+    dense = structure.dense
+    measure, sync = space.distance, dense.sync
+    calls = []  # distance calls made inside each dense sync
+
+    def counted_sync(changes):
+        made = []
+        space.distance = lambda u, v: made.append((u, v)) or measure(u, v)
+        try:
+            return sync(changes)
+        finally:
+            space.distance = measure
+            calls.append(len(made))
+
+    dense.sync = counted_sync
     placed = []
     next_id = 0
+
+    def ident(k):
+        # ids out of insertion order, so that rows join inside the table
+        return k * 37 % 97
 
     def fresh_coords():
         for _ in range(200):
@@ -260,23 +278,34 @@ def test_fast_random_mixed_run_stays_clean():
     for _ in range(20):
         c = fresh_coords()
         placed.append(c)
-        structure.insert(next_id, c)
+        structure.insert(ident(next_id), c)
         next_id += 1
-    alive = list(range(20))
+    alive = [ident(k) for k in range(20)]
     for _ in range(24):
         if alive and rng.random() < 0.4:
             pid = alive.pop(rng.randrange(len(alive)))
             structure.delete(pid)
+            assert calls[-1] == 0
         else:
             c = fresh_coords()
             placed.append(c)
-            structure.insert(next_id, c)
-            alive.append(next_id)
+            structure.insert(ident(next_id), c)
+            alive.append(ident(next_id))
             next_id += 1
+            assert calls[-1] == len(space.active) - 1
         assert_clean(structure)
         assert sweep_estimate_store(structure) == []
         active = sorted(space.active)
-        center = next_id - 1
+        # the table holds every active pair, as measured pair by pair
+        assert dense.ids == active
+        assert dense.pos == {pid: k for k, pid in enumerate(active)}
+        assert dense.dist.shape == (len(active), len(active))
+        for a, u in enumerate(active):
+            assert dense.dist[a, a] == 0.0
+            for b in range(a + 1, len(active)):
+                d = space.distance(u, active[b])
+                assert dense.dist[a, b] == d and dense.dist[b, a] == d
+        center = ident(next_id - 1)
         for i in range(structure.top + 1):
             r = 4.0 * (1 << i)
             want = [
@@ -293,20 +322,20 @@ def test_fast_random_mixed_run_stays_clean():
 def test_estimate_refresh_skips_output_loop_below_scale_two():
     structure, _ = build([0, 1, 2, 3], 8.0, mode="fast")
     sentinel = 123.0
-    for entry in structure.estimates.dlight.values():
-        entry.value = sentinel
+    dstar, dlight = structure.estimates.dstar, structure.estimates.dlight
+    before = dict(dstar)
+    for table in (dstar, dlight):
+        for e in table:
+            table[e] = sentinel
     view = structure._view(0)
     structure._update_estimates(view, 0)
     structure._update_estimates(view, 1)
-    assert all(e.value == sentinel for e in structure.estimates.dlight.values())
-    refreshed = [
-        e
-        for (u, v), e in structure.estimates.dstar.items()
-        if scale_of(structure.space.distance(u, v)) == 1
-    ]
-    assert refreshed and all(
-        e.alpha == 1.0 + KAPPA * 1 * structure.eps_small for e in refreshed
-    )
+    assert all(value == sentinel for value in dlight.values())
+    # iterations 0 and 1 rewrite exactly the separation estimates of their
+    # own scales, with the values the insert wrote
+    refreshed = {e for e in dstar if scale_of(structure.space.distance(*e)) <= 1}
+    assert refreshed and all(dstar[e] == before[e] != sentinel for e in refreshed)
+    assert all(dstar[e] == sentinel for e in set(dstar) - refreshed)
 
 
 def test_estimate_refresh_without_nearby_edges_is_a_no_op():
@@ -319,15 +348,19 @@ def test_estimate_refresh_without_nearby_edges_is_a_no_op():
 
 
 def test_estimate_identity_and_disconnection():
-    structure, _ = build([0.0, 1.0, 30.0, 31.0], 64.0)
+    structure, _ = build([0.0, 1.0, 30.0, 31.0], 64.0, mode="fast")
     assert structure.estimate(0, 0, 3, 0) == 0.0
     # the sketch at scale 3 only carries short output edges, so the two
     # clusters are separate components
     assert structure.estimate(0, 2, 3, 0) == INF
+    # exact mode keeps no estimates to build a sketch from
+    exact, _ = build([0.0, 1.0, 30.0, 31.0], 64.0)
+    with pytest.raises(ValueError):
+        exact.estimate(0, 0, 3, 0)
 
 
 def test_estimate_returns_exact_two_hop_length():
-    structure, _ = build([0.0, 3.0, 6.0], 16.0)
+    structure, _ = build([0.0, 3.0, 6.0], 16.0, mode="fast")
     assert structure.light_edges() == [(0, 1), (1, 2)]
     assert structure.estimate(0, 2, 3, 1) == 6.0
 
@@ -360,7 +393,7 @@ def _reference_sketch(structure, center, at_scale):
     iprime = max(0, scale_of(structure.eps_small * float(1 << at_scale)) - 1)
     ids = sorted(structure.hierarchy.ball(iprime, center, 7.0 * (1 << at_scale)))
     index = {pid: k for k, pid in enumerate(ids)}
-    m = distance_matrix(structure.space, ids)
+    m = np.array([[structure.space.distance(*sorted((u, v))) for v in ids] for u in ids])
     rows, cols, data = [], [], []
     low = 0
     for a, b in structure.light:
@@ -373,7 +406,7 @@ def _reference_sketch(structure, center, at_scale):
     for ka in range(len(ids)):
         for kb in range(ka + 1, len(ids)):
             if m[ka, kb] < 2.0 ** (at_scale - 3):
-                value = structure.estimates.dlight[(ids[ka], ids[kb])].value
+                value = structure.estimates.dlight[(ids[ka], ids[kb])]
                 if not math.isinf(value):
                     low += 1
                     rows.append(ka)
