@@ -8,35 +8,36 @@ decisions are only revisited near an updated point, which keeps per-update
 work local while a slack band between the join threshold (1+eps) and the
 guaranteed separation (1+eps/3) absorbs the drift in between.
 
-Two update strategies share all bookkeeping:
+Two update strategies share all bookkeeping.  Each reads the updated
+point's distances from the hierarchy's row (``NetHierarchy.distance``),
+where each is measured once per update:
 
-* ``exact`` measures the updated point's distance to every active point
-  and takes one snapshot of the candidate pool per update, as arrays of
-  stored weights.  Each scale picks its revisited edges and the output
-  edges below it with masks over that snapshot, and settles the revisited
-  edges with one batched Dijkstra search over those output edges, among
-  the points within the scale's reach of the updated point, truncated at
-  ``1+eps`` times the longest revisited edge.  Nothing is memoised
-  between updates.
+* ``exact`` reads the updated point's distance to every active point off
+  that row and takes one snapshot of the candidate pool per update, as
+  arrays of stored weights with the output's edges flagged.  Each scale
+  picks its revisited edges and the output edges below it with masks over
+  that snapshot, and settles the revisited edges with one batched
+  Dijkstra search over those output edges, among the points within the
+  scale's reach of the updated point, truncated at ``1+eps`` times the
+  longest revisited edge.  Nothing is memoised between updates.
 * ``fast`` replaces the Dijkstra runs with cached coarse distance
   estimates read off small sketch graphs, refreshed only near the
   updated point.  Estimates are kept for the pairs of a net spanner
   built with a much smaller eps (``eps_small``); fast mode accepts only
   phi at which that spanner holds every active pair, so that pool is one
   table of the active pairs' distances (``AllPairs``), each pair measured
-  once, when its later point joins.  Each update measures only each
-  active point's distance to the updated one (a ``Neighbourhood``), and
-  every scale reads its refreshed pairs and its sketch's vertices and
-  distances from that one view.  The pool edges to decide come, as in
-  exact mode, from one snapshot of the candidate pool over the view's
-  points, masked per scale.  A sketch takes its output edges from the
-  adjacency of its own vertices.  An estimate is a plain float, since
-  its pair's scale fixes its approximation factor.
+  once, when its later point joins.  Each update reads only each active
+  point's distance to the updated one (a ``Neighbourhood``), and every
+  scale reads its refreshed pairs and its sketch's vertices and distances
+  from that one view.  The pool edges to decide come, as in exact mode,
+  from one snapshot of the candidate pool over the view's points, masked
+  per scale, and a sketch takes its output edges from the same snapshot.
+  An estimate is a plain float, since its pair's scale fixes its
+  approximation factor.
 
-Inserts are rejected, leaving the structure as it was (the id stays
-used), unless the new point is at distance in [1, phi) from every active
-point: closer points break the level-0 net, and pairs at phi or farther
-have a scale that no update visits.
+Inserts are refused by the hierarchy, before any structure changes,
+unless the new point is at distance in [1, phi) from every active point;
+the point then leaves the space again, and its id stays used.
 """
 
 from __future__ import annotations
@@ -122,39 +123,21 @@ class DynamicLightSpanner:
         self.dense = AllPairs(self.hierarchy)
         self.light: set[Edge] = set()
         self.estimates = EstimateStore()
-        # the output as adjacency sets, read by the fast path's sketches
-        self._light_adj: dict[int, set[int]] = {}
 
     # -- output edge bookkeeping -----------------------------------------
-
-    def _light_add(self, e: Edge) -> None:
-        u, v = e
-        self.light.add(e)
-        self._light_adj.setdefault(u, set()).add(v)
-        self._light_adj.setdefault(v, set()).add(u)
-
-    def _light_remove(self, e: Edge) -> None:
-        u, v = e
-        self.light.remove(e)
-        self._light_adj[u].remove(v)
-        self._light_adj[v].remove(u)
-        if not self._light_adj[u]:
-            del self._light_adj[u]
-        if not self._light_adj[v]:
-            del self._light_adj[v]
 
     def _apply(self, u: int, v: int, covered: bool, added: set[Edge], removed: set[Edge]) -> None:
         e = (u, v) if u < v else (v, u)
         if covered:
             if e in self.light:
-                self._light_remove(e)
+                self.light.remove(e)
                 if e in added:
                     added.discard(e)
                 else:
                     removed.add(e)
         else:
             if e not in self.light:
-                self._light_add(e)
+                self.light.add(e)
                 if e in removed:
                     removed.discard(e)
                 else:
@@ -169,22 +152,13 @@ class DynamicLightSpanner:
             # the candidate pool holds its endpoints in 64-bit columns
             raise ValueError(f"point id {pid} does not fit in 64 bits")
         self.space.add_point(pid, coords)
-        self._reject_out_of_range(pid)
-        changes = self.hierarchy.insert(pid)
+        try:
+            changes = self.hierarchy.insert(pid)
+        except ValueError:
+            # the hierarchy refused the point before changing anything
+            self.space.remove_point(pid)
+            raise
         return self._sync_and_reselect("insert", pid, changes, t0, before)
-
-    def _reject_out_of_range(self, pid: int) -> None:
-        """Deactivate pid and raise unless it is within [1, phi) of every active point."""
-        dist = self.space.distance
-        phi = self.space.phi
-        for y in self.hierarchy.levels[0]:
-            d = dist(pid, y)
-            if not 1.0 <= d < phi:
-                self.space.remove_point(pid)
-                raise ValueError(
-                    f"point {pid} is at distance {d!r} from point {y}; "
-                    f"inserts need distances in [1, {phi:g})"
-                )
 
     def delete(self, pid: int) -> UpdateReport:
         t0 = time.perf_counter_ns()
@@ -230,7 +204,7 @@ class DynamicLightSpanner:
 
     def _reselect_exact(self, x: int, added: set[Edge], removed: set[Edge]) -> None:
         one = 1.0 + self.eps
-        dist = self.space.distance
+        dist = self.hierarchy.distance
         # Every active point, nearest first.  Each scale searches the prefix
         # within its reach, which is the ball of that radius around x.  Under
         # the [1, phi) input rule every active point lies within phi = 2**top
@@ -238,11 +212,9 @@ class DynamicLightSpanner:
         # least 4 * 2**top) takes in every point measured here.
         near = sorted((dist(x, y), y) for y in self.hierarchy.levels[0])
         d_x = np.array([d for d, _ in near], dtype=float)
-        pos = {y: k for k, (_, y) in enumerate(near)}
-        a, b, weights, edges = self.base.snapshot(pos)
+        a, b, weights, edges, in_output = self._snapshot({y: k for k, (_, y) in enumerate(near)})
         scale = np.frexp(weights)[1]  # scale_of, bit for bit
         reach = np.maximum(d_x[a], d_x[b])
-        in_output = self._in_output(pos, a, b)
         for i in range(self.top + 1):
             pairs = np.flatnonzero((scale == i) & (reach <= 4.0 * (1 << i)))
             if not len(pairs):
@@ -272,12 +244,14 @@ class DynamicLightSpanner:
             found = rows[np.searchsorted(sources, a[pairs]), b[pairs]]
             self._settle(edges, pairs, found <= one * weights[pairs], in_output, added, removed)
 
-    def _in_output(self, pos: dict[int, int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Whether each snapshot edge, at positions ``(a, b)`` of ``pos``, is
-        in the output."""
+    def _snapshot(self, pos: dict[int, int]) -> tuple:
+        """``base.snapshot(pos)`` as ``a, b, weights, edges``, plus whether
+        each edge is in the output.  The output lies inside the pool, so
+        these flags hold every output edge among the points of ``pos``."""
+        a, b, weights, edges = self.base.snapshot(pos)
         n = len(pos)
         keys = [pos[u] * n + pos[v] for u, v in self.light if u in pos and v in pos]
-        return np.isin(a * n + b, keys)
+        return a, b, weights, edges, np.isin(a * n + b, keys)
 
     def _settle(
         self,
@@ -309,13 +283,14 @@ class DynamicLightSpanner:
     def _reselect_fast(self, view: Neighbourhood, added: set[Edge], removed: set[Edge]) -> None:
         one = 1.0 + self.eps
         dstar = self.estimates.dstar
-        a, b, weights, edges = self.base.snapshot(view.pos)
+        snap = a, b, weights, edges, in_output = self._snapshot(view.pos)
         scale = np.frexp(weights)[1]  # scale_of, bit for bit
         reach = np.maximum(view.to_center[a], view.to_center[b])
-        in_output = self._in_output(view.pos, a, b)
         u, v = edges
         for i in range(self.top + 1):
-            self._update_estimates(view, i)
+            # the sketches read the output off snap, whose flags _settle
+            # keeps in step with the verdicts of the lower scales
+            self._update_estimates(view, i, snap)
             pairs = np.flatnonzero((scale == i) & (reach <= 8.0 * (1 << i)))
             if not len(pairs):
                 continue
@@ -328,16 +303,16 @@ class DynamicLightSpanner:
                 ) from None
             self._settle(edges, pairs, found <= one * weights[pairs], in_output, added, removed)
 
-    def _update_estimates(self, view: Neighbourhood, i: int) -> None:
+    def _update_estimates(self, view: Neighbourhood, i: int, snap: tuple) -> None:
         """Refresh cached estimates for pairs near the view's center at scale
-        iteration i."""
+        iteration i; ``snap`` is ``_snapshot(view.pos)``."""
         radius = 4.0 * (1 << i)
         none = (np.empty(0, dtype=np.intp),) * 2
         pairs_dl = view.pairs(i - 2, radius) if i >= 2 else none
         pairs_ds = view.pairs(i, radius)
         if not len(pairs_dl[0]) and not len(pairs_ds[0]):
             return
-        members, graph = self._build_sketch(view, i)
+        members, graph = self._build_sketch(view, i, snap)
         # view position -> sketch vertex, and -> Dijkstra row, or -1
         vertex = np.full(len(view.ids), -1)
         vertex[members] = np.arange(len(members))
@@ -361,14 +336,16 @@ class DynamicLightSpanner:
         store(self.estimates.dlight, *pairs_dl)
         store(self.estimates.dstar, *pairs_ds)
 
-    def _build_sketch(self, view: Neighbourhood, at_scale: int) -> tuple[np.ndarray, csr_matrix]:
+    def _build_sketch(
+        self, view: Neighbourhood, at_scale: int, snap: tuple
+    ) -> tuple[np.ndarray, csr_matrix]:
         """Small graph whose distances coarsely track output-graph distances.
 
         Vertices are net points near the view's center, returned as view
         positions in ascending order.  Pairs in the middle distance band
-        contribute an edge exactly when they are currently in the output;
-        pairs in the low band always contribute an edge, weighted by their
-        cached output-graph distance.  Bands are read off ``view.dist``.
+        contribute an edge exactly when they are in the output, as flagged
+        in ``snap`` (``_snapshot(view.pos)``); pairs in the low band always
+        contribute an edge, weighted by their cached output-graph distance.
         """
         iprime = max(0, scale_of(self.eps_small * float(1 << at_scale)) - 1)
         level = self.hierarchy.levels[iprime]
@@ -376,28 +353,22 @@ class DynamicLightSpanner:
         near = np.flatnonzero(view.to_center <= 7.0 * (1 << at_scale))
         members = np.array([k for k in near.tolist() if ids[k] in level], dtype=np.intp)
         n = len(members)
-        m = view.dist[np.ix_(members, members)]
-        band1_hi = 2.0 ** (at_scale - 1)
-        band1_lo = 2.0 ** (at_scale - 3)
-        band2_hi = band1_lo
-        # middle band: the output edges among the vertices
-        sketch_ids = [ids[k] for k in members.tolist()]
-        vertex = {pid: j for j, pid in enumerate(sketch_ids)}
-        first: list[int] = []
-        second: list[int] = []
-        adj = self._light_adj
-        for a, ja in vertex.items():
-            for b in adj.get(a, ()):
-                jb = vertex.get(b)
-                if jb is not None and ja < jb:
-                    first.append(ja)
-                    second.append(jb)
-        rows1 = np.array(first, dtype=np.intp)
-        cols1 = np.array(second, dtype=np.intp)
-        w1 = m[rows1, cols1]
-        mid = (band1_lo <= w1) & (w1 < band1_hi)
+        vertex = np.full(len(ids), -1)
+        vertex[members] = np.arange(n)
+        # middle band: the output edges among the vertices; view positions
+        # follow id order, so a < b and each edge lands above the diagonal
+        a, b, weights, _, in_output = snap
+        mid = np.flatnonzero(
+            in_output
+            & (vertex[a] >= 0)
+            & (vertex[b] >= 0)
+            & (2.0 ** (at_scale - 3) <= weights)
+            & (weights < 2.0 ** (at_scale - 1))
+        )
         # low band: every pair, weighted by its output-distance estimate
-        rows2, cols2 = np.nonzero(np.triu(m < band2_hi, 1))
+        m = view.dist[np.ix_(members, members)]
+        rows2, cols2 = np.nonzero(np.triu(m < 2.0 ** (at_scale - 3), 1))
+        sketch_ids = [ids[k] for k in members.tolist()]
         dlight = self.estimates.dlight
         estimated: list[float] = []
         for ja, jb in zip(rows2.tolist(), cols2.tolist()):
@@ -408,9 +379,9 @@ class DynamicLightSpanner:
             estimated.append(value)
         w2 = np.array(estimated, dtype=float)
         low = ~np.isinf(w2)
-        rows = np.concatenate([rows1[mid], rows2[low]])
-        cols = np.concatenate([cols1[mid], cols2[low]])
-        data = np.concatenate([w1[mid], w2[low]])
+        rows = np.concatenate([vertex[a[mid]], rows2[low]])
+        cols = np.concatenate([vertex[b[mid]], cols2[low]])
+        data = np.concatenate([weights[mid], w2[low]])
         return members, csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def estimate(self, u: int, v: int, at_scale: int, center: int) -> float:
@@ -419,7 +390,7 @@ class DynamicLightSpanner:
         if self.mode != "fast":
             raise ValueError("estimate needs mode='fast'")
         view = self._view(center)
-        members, graph = self._build_sketch(view, at_scale)
+        members, graph = self._build_sketch(view, at_scale, self._snapshot(view.pos))
         vertex = {view.ids[k]: j for j, k in enumerate(members.tolist())}
         if u not in vertex or v not in vertex:
             return INF

@@ -35,7 +35,7 @@ def scale_of(d: float) -> int:
 
 
 class MetricSpace:
-    """Euclidean R^d point store with (1, phi)-bounded intent.
+    """Euclidean R^d point store with [1, phi)-bounded intent.
 
     The bound itself is not enforced here (validate_bounded reports it);
     callers feed only bounded point sets when they need the guarantees.
@@ -159,13 +159,13 @@ def distance_matrix(space, ids: list[int]) -> np.ndarray:
 
 
 def validate_bounded(space) -> tuple[bool, list[tuple[int, int, float]]]:
-    """Check 1 <= distance <= phi for every active pair. O(n^2), test/harness use."""
+    """Check 1 <= distance < phi for every active pair. O(n^2), test/harness use."""
     violations: list[tuple[int, int, float]] = []
     ids = sorted(space.active)
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
             d = space.distance(ids[a], ids[b])
-            if d < 1.0 or d > space.phi:
+            if not 1.0 <= d < space.phi:
                 violations.append((ids[a], ids[b], d))
     return (not violations, violations)
 

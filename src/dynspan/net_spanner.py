@@ -14,7 +14,10 @@ level, then promotes others.  So an edge can leave the set only when one of
 its endpoints is deleted.  ``sync`` relies on this and checks it: a removal
 event drops every edge of its point, and is refused while the point is still
 active.  An addition event adds the pairs its point forms at that level,
-found with one ball query against the hierarchy's final state.
+found with one ball query against the hierarchy's final state.  Every
+distance here is read through ``NetHierarchy.distance``, so the ball
+queries, the new weights and the ``AllPairs`` row of an update's own point
+all read the one row the hierarchy measured for it.
 
 ``AllPairs`` stands for the pool holding every active pair, as one table
 of their distances kept across updates, and ``Neighbourhood`` is that
@@ -66,7 +69,7 @@ class NetSpanner:
         changing nothing, if a removal event names an active point.
         """
         hier = self.hierarchy
-        dist = hier.space.distance
+        dist = hier.distance
         for level, pid, was_added in changeset:
             if not was_added and pid in hier.levels[0]:
                 raise ValueError(f"point {pid} left level {level} but is still active")
@@ -163,11 +166,12 @@ class Neighbourhood:
 
     ``ids``, ``pos`` and ``dist`` are the ``AllPairs`` table's own, so no
     pair is measured here; ``to_center[k]`` is
-    ``space.distance(center, ids[k])``, the only distances measured.
+    ``space.distance(center, ids[k])``, read through the hierarchy's
+    ``distance``, so an update's own point is measured at most once.
     """
 
     def __init__(self, pool: AllPairs, center: int):
-        dist = pool.hierarchy.space.distance
+        dist = pool.hierarchy.distance
         self.ids, self.pos, self.dist = pool.ids, pool.pos, pool.dist
         self.to_center = np.array([dist(center, y) for y in self.ids], dtype=float)
         # every pair a < b once, in row-major order, so in sorted (u, v) order
@@ -195,10 +199,11 @@ class AllPairs:
 
     ``ids`` is the sorted active set, ``pos`` maps each id to its index, and
     ``dist[a, b] == dist[b, a]`` is ``space.distance(ids[a], ids[b])`` for
-    a < b, measured once, when the later point joined.  A ``NetSpanner``
-    with ``c >= phi`` holds exactly these pairs, since level 0 is the whole
-    active set and every active pair is closer than phi.  Only the fast
-    update path calls ``sync``; ``edge_count`` counts the active pairs.
+    a < b, measured once, when the later point joined (read from its row
+    in the hierarchy).  A ``NetSpanner`` with ``c >= phi`` holds exactly
+    these pairs, since level 0 is the whole active set and every active
+    pair is closer than phi.  Only the fast update path calls ``sync``;
+    ``edge_count`` counts the active pairs.
     """
 
     def __init__(self, hierarchy: NetHierarchy):
@@ -210,7 +215,7 @@ class AllPairs:
     def sync(self, changeset: list[Change]) -> tuple[list[Edge], list[Edge]]:
         """Add a measured row for each point that joined level 0 and drop the
         row of each point that left; return the pairs gained and lost."""
-        dist = self.hierarchy.space.distance
+        dist = self.hierarchy.distance
         added: list[Edge] = []
         removed: list[Edge] = []
         for level, pid, was_added in changeset:

@@ -11,10 +11,15 @@ one level up), which is all that queries and updates need: ball queries
 never scan a whole level, they descend from the top populated level through
 these lists, shrinking a candidate set as they go, and are exact for any
 radius.
+
+Every distance an update needs from its own point has one home: an insert
+or delete starts a row for that point, and ``distance`` measures each pair
+with it once, into the row, for every later reader in the same update (the
+net, both candidate pools and the reselection).  An insert measures its row
+over the whole active set before it changes anything, and refuses the point
+unless every distance lies in ``[1, phi)``.
 """
 from __future__ import annotations
-
-from .metric import scale_of
 
 # Changeset entry: (level, point id, True for added / False for removed).
 Change = tuple[int, int, bool]
@@ -28,6 +33,22 @@ class NetHierarchy:
         # neighbors[i][x] = set of y in levels[i], y != x, with d(x, y) <= list_radius(i)
         self.neighbors: list[dict[int, set[int]]] = [{} for _ in range(self.top + 1)]
         self.counters = counters if counters is not None else {}
+        # the point of the latest insert or delete, and its distances
+        self.center: int | None = None
+        self.row: dict[int, float] = {}
+
+    def distance(self, u: int, v: int) -> float:
+        """``space.distance(u, v)``; a pair with ``center`` is measured once,
+        into ``row``, and read from there after.  An entry never goes stale,
+        since ids are never reused and coordinates never change."""
+        if u == self.center:
+            u, v = v, u
+        if v != self.center:
+            return self.space.distance(u, v)
+        d = self.row.get(u)
+        if d is None:
+            d = self.row[u] = self.space.distance(u, v)
+        return d
 
     def list_radius(self, level: int) -> float:
         return 4.0 * float(1 << level)
@@ -48,7 +69,7 @@ class NetHierarchy:
         members = self.levels[level]
         if pid in members:
             raise KeyError(f"point {pid} already in level {level}")
-        dist = self.space.distance
+        dist = self.distance
         radius = self.list_radius(level)
         mine: set[int] = set()
         for y in members:
@@ -75,33 +96,35 @@ class NetHierarchy:
     def insert(self, pid: int) -> list[Change]:
         """Add an active point to the hierarchy.
 
-        The point joins every level below the smallest level that already has
-        a member strictly within that level's radius; if no level does, it
-        joins every level.
+        First measures the point's row, its distance to every member, and
+        raises ``ValueError``, changing nothing, unless each lies in
+        ``[1, phi)``: closer points break the level-0 net, and pairs at phi
+        or farther have a scale that no update visits.  The point then joins
+        every level below the smallest level that already has a member
+        strictly within that level's radius; if no level does, it joins
+        every level.
         """
         if pid not in self.space.active:
             raise KeyError(f"point {pid} is not active in the space")
         if pid in self.levels[0]:
             raise KeyError(f"point {pid} already in the hierarchy")
-
-        join_below = self._join_threshold(pid)
+        self.center, self.row = pid, {}
+        dist, row, phi = self.space.distance, self.row, self.space.phi
+        for y in self.levels[0]:
+            d = row[y] = dist(pid, y)
+            if not 1.0 <= d < phi:
+                raise ValueError(
+                    f"point {pid} is at distance {d!r} from point {y}; "
+                    f"inserts need distances in [1, {phi:g})"
+                )
+        join = next(
+            (j for j, level in enumerate(self.levels) if any(row[y] < (1 << j) for y in level)),
+            self.top + 1,
+        )
         changes: list[Change] = []
-        for i in range(min(join_below, self.top + 1)):
+        for i in range(join):
             self._add_member(i, pid, changes)
         return changes
-
-    def _join_threshold(self, pid: int) -> int:
-        """Smallest level i with a member strictly within 2**i of pid, else top+1.
-
-        Found with one descent at radius 0, whose candidate set at level j is
-        complete out to 4 * 2**j, enough to decide this exactly.
-        """
-        threshold = self.top + 1
-        for j, candidates in self._descend(pid, 0.0, 0):
-            limit = float(1 << j)
-            if any(d < limit for d in candidates.values()):
-                threshold = j
-        return threshold
 
     def delete(self, pid: int) -> list[Change]:
         """Remove a point from every level, then promote to restore covering.
@@ -115,7 +138,8 @@ class NetHierarchy:
         """
         if pid not in self.levels[0]:
             raise KeyError(f"point {pid} not in the hierarchy")
-        dist = self.space.distance
+        self.center, self.row = pid, {}
+        dist = self.distance
 
         snapshots: list[set[int]] = []
         for i in range(self.top + 1):
@@ -165,32 +189,21 @@ class NetHierarchy:
         self.counters["ball_queries"] = self.counters.get("ball_queries", 0) + 1
         if r < 0:
             return []
-        members: dict[int, float] = {}
-        for _, members in self._descend(center, r, level):
-            pass
-        return [y for y, d in members.items() if d <= r]
-
-    def _descend(self, center: int, r: float, low: int):
-        """Yield (j, {member: distance to center}) for the level-j members
-        within r + 4 * 2**j of center, for each j from the highest populated
-        level down to ``low``.
-
-        Each set is complete: a member within that radius has its covering
-        parent (within 2 * 2**j of it) in the set one level up, and that
-        parent lists it as a level-j neighbour.  Each distance is measured
-        once per descent, as ``space.distance(center, y)``.
-        """
-        dist = self.space.distance
+        # Descend from the highest populated level, keeping at each level j
+        # the members within r + 4 * 2**j of the center.  Each set is
+        # complete: a member within that radius has its covering parent
+        # (within 2 * 2**j of it) in the set one level up, and that parent
+        # lists it as a level-j neighbour.  Each distance is measured once.
+        dist = self.distance
         high = self.top
         while high >= 0 and not self.levels[high]:
             high -= 1
-        if high < low:
-            return
+        if high < level:
+            return []
         measured = {y: dist(center, y) for y in self.levels[high]}
         radius = r + (1 << (high + 2))
         candidates = {y: d for y, d in measured.items() if d <= radius}
-        yield high, candidates
-        for j in range(high - 1, low - 1, -1):
+        for j in range(high - 1, level - 1, -1):
             radius = r + (1 << (j + 2))
             nxt: dict[int, float] = {}
             seen: set[int] = set()
@@ -208,7 +221,7 @@ class NetHierarchy:
                         if d <= radius:
                             nxt[y] = d
             candidates = nxt
-            yield j, candidates
+        return [y for y, d in candidates.items() if d <= r]
 
     def dump(self) -> str:
         """One line per level, sorted member ids, for golden tests."""

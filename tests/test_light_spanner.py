@@ -7,6 +7,7 @@ edge set satisfying its selection rule.
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ def assert_clean(structure):
         )
         == []
     )
+
+
+def measured_once(space, pid, update):
+    """Run ``update()`` with ``space.distance`` counted, assert that it
+    measured no pair with ``pid`` twice, and return the other ends of the
+    pairs with ``pid`` that it measured."""
+    measure = space.distance
+    made = Counter()
+
+    def counted(u, v):
+        if pid in (u, v):
+            made[v if u == pid else u] += 1
+        return measure(u, v)
+
+    space.distance = counted
+    try:
+        update()
+    finally:
+        space.distance = measure
+    assert all(k == 1 for k in made.values()), made
+    return set(made) - {pid}
 
 
 def test_constructor_validation():
@@ -131,11 +153,14 @@ def test_insert_rejects_out_of_range_points(mode):
             structure.dump_estimates(),
         )
 
+    def refused(pid, x):
+        with pytest.raises(ValueError):
+            structure.insert(pid, (x,))
+
     before = state()
     # a duplicate point, then points at phi and beyond from point 0
     for pid, x in [(3, 2.0), (4, 17.0), (5, 41.0)]:
-        with pytest.raises(ValueError):
-            structure.insert(pid, (x,))
+        assert measured_once(structure.space, pid, lambda: refused(pid, x)) <= {0, 1, 2}
         assert state() == before
     with pytest.raises(ValueError):
         structure.insert(1 << 63, (8.0,))  # ids are held in 64-bit columns
@@ -144,8 +169,10 @@ def test_insert_rejects_out_of_range_points(mode):
         structure.insert(0, (40.0,))  # an active id
     with pytest.raises(KeyError):
         structure.insert(4, (8.0,))  # a rejected id stays used
-    structure.insert(6, (8.0,))
-    structure.delete(1)
+    # each distance from the updated point is measured once per update
+    others = set(structure.space.active)
+    assert measured_once(structure.space, 6, lambda: structure.insert(6, (8.0,))) == others
+    measured_once(structure.space, 1, lambda: structure.delete(1))
     assert_clean(structure)
     if mode == "fast":
         assert sweep_estimate_store(structure) == []
@@ -248,19 +275,6 @@ def test_fast_random_mixed_run_stays_clean():
     space = MetricSpace(2, 256.0)
     structure = DynamicLightSpanner(space, 0.5, mode="fast")
     dense = structure.dense
-    measure, sync = space.distance, dense.sync
-    calls = []  # distance calls made inside each dense sync
-
-    def counted_sync(changes):
-        made = []
-        space.distance = lambda u, v: made.append((u, v)) or measure(u, v)
-        try:
-            return sync(changes)
-        finally:
-            space.distance = measure
-            calls.append(len(made))
-
-    dense.sync = counted_sync
     placed = []
     next_id = 0
 
@@ -284,15 +298,16 @@ def test_fast_random_mixed_run_stays_clean():
     for _ in range(24):
         if alive and rng.random() < 0.4:
             pid = alive.pop(rng.randrange(len(alive)))
-            structure.delete(pid)
-            assert calls[-1] == 0
+            measured_once(space, pid, lambda: structure.delete(pid))
         else:
             c = fresh_coords()
             placed.append(c)
-            structure.insert(ident(next_id), c)
-            alive.append(ident(next_id))
+            pid, others = ident(next_id), set(space.active)
+            # the new point's n-1 pairs are each measured once, for the
+            # hierarchy, both pools, the table and the update's view
+            assert measured_once(space, pid, lambda: structure.insert(pid, c)) == others
+            alive.append(pid)
             next_id += 1
-            assert calls[-1] == len(space.active) - 1
         assert_clean(structure)
         assert sweep_estimate_store(structure) == []
         active = sorted(space.active)
@@ -328,8 +343,9 @@ def test_estimate_refresh_skips_output_loop_below_scale_two():
         for e in table:
             table[e] = sentinel
     view = structure._view(0)
-    structure._update_estimates(view, 0)
-    structure._update_estimates(view, 1)
+    snap = structure._snapshot(view.pos)
+    structure._update_estimates(view, 0, snap)
+    structure._update_estimates(view, 1, snap)
     assert all(value == sentinel for value in dlight.values())
     # iterations 0 and 1 rewrite exactly the separation estimates of their
     # own scales, with the values the insert wrote
@@ -342,7 +358,9 @@ def test_estimate_refresh_without_nearby_edges_is_a_no_op():
     structure, _ = build([0.0, 1.0, 40.0, 41.0], 64.0, mode="fast")
     before_ds = dict(structure.estimates.dstar)
     before_dl = dict(structure.estimates.dlight)
-    structure._update_estimates(structure._view(0), 2)  # no pool edges at scale 2 anywhere
+    view = structure._view(0)
+    # no pool edges at scale 2 anywhere
+    structure._update_estimates(view, 2, structure._snapshot(view.pos))
     assert structure.estimates.dstar == before_ds
     assert structure.estimates.dlight == before_dl
 
@@ -421,8 +439,9 @@ def _assert_sketches_match_reference(structure, centers):
     bands = np.zeros(2, dtype=int)
     for center in centers:
         view = structure._view(center)
+        snap = structure._snapshot(view.pos)
         for i in range(structure.top + 1):
-            members, graph = structure._build_sketch(view, i)
+            members, graph = structure._build_sketch(view, i, snap)
             ids, want, sizes = _reference_sketch(structure, center, i)
             bands += sizes
             assert [view.ids[k] for k in members] == ids
@@ -502,7 +521,8 @@ def test_fast_run_deletes_down_to_nothing():
     assert structure.light_edges() == [] and structure.base.edge_count() == 0
     assert structure.estimates.dstar == {} and structure.estimates.dlight == {}
     assert all(not members for members in structure.hierarchy.levels)
-    members, graph = structure._build_sketch(structure._view(0), structure.top)
+    view = structure._view(0)
+    members, graph = structure._build_sketch(view, structure.top, structure._snapshot(view.pos))
     assert len(members) == 0 and graph.shape == (0, 0)
 
 

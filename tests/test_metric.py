@@ -86,6 +86,23 @@ def test_triangle_inequality(coords):
     assert ac <= ab + bc + 1e-9
 
 
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: st.lists(
+            st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=dim, max_size=dim),
+            min_size=2,
+            max_size=2,
+        )
+    )
+)
+def test_distance_is_symmetric_bit_for_bit(coords):
+    # the hierarchy reads d(u, v) for d(v, u) from the updated point's row
+    space = MetricSpace(len(coords[0]), 8.0)
+    for pid, c in enumerate(coords):
+        space.add_point(pid, c)
+    assert space.distance(0, 1).hex() == space.distance(1, 0).hex()
+
+
 def test_phi_must_be_power_of_two_at_least_one():
     with pytest.raises(ValueError):
         MetricSpace(1, 3.0)
@@ -151,6 +168,11 @@ def test_validate_bounded_rejects_close_pair():
     ok, violations = validate_bounded(space)
     assert not ok
     assert violations == [(0, 1, 0.5)]
+    # the bound is [1, phi): a pair at exactly phi is out too
+    space.add_point(2, (8.0,))
+    ok, violations = validate_bounded(space)
+    assert not ok
+    assert violations == [(0, 1, 0.5), (0, 2, 8.0)]
 
 
 def test_validate_bounded_line_1_to_16():

@@ -1,5 +1,6 @@
 """Net hierarchy maintenance: insert, delete with promotion, ball queries."""
 
+import copy
 import math
 import random
 
@@ -67,6 +68,15 @@ def test_insert_preconditions():
     space.remove_point(1)
     with pytest.raises(KeyError):
         hier.insert(1)  # not active
+    space.add_point(2, (3.0,))
+    hier.insert(2)
+    before = (hier.dump(), copy.deepcopy(hier.neighbors))
+    # a point closer than 1 to a member, at phi from one, and beyond phi
+    for pid, x in [(3, 3.5), (4, 8.0), (5, 11.0)]:
+        space.add_point(pid, (x,))
+        with pytest.raises(ValueError, match=r"inserts need distances in \[1, 8\)"):
+            hier.insert(pid)
+        assert (hier.dump(), hier.neighbors) == before
 
 
 def test_delete_only_point_empties_everything():
