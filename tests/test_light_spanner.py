@@ -275,6 +275,20 @@ def test_fast_random_mixed_run_stays_clean():
     space = MetricSpace(2, 256.0)
     structure = DynamicLightSpanner(space, 0.5, mode="fast")
     dense = structure.dense
+    sync = dense.sync
+    calls = []  # distance calls made inside each dense sync
+
+    def counted_sync(changes):
+        measure = space.distance
+        made = []
+        space.distance = lambda u, v: made.append((u, v)) or measure(u, v)
+        try:
+            return sync(changes)
+        finally:
+            space.distance = measure
+            calls.append(len(made))
+
+    dense.sync = counted_sync
     placed = []
     next_id = 0
 
@@ -299,6 +313,7 @@ def test_fast_random_mixed_run_stays_clean():
         if alive and rng.random() < 0.4:
             pid = alive.pop(rng.randrange(len(alive)))
             measured_once(space, pid, lambda: structure.delete(pid))
+            assert calls[-1] == 0
         else:
             c = fresh_coords()
             placed.append(c)
@@ -306,6 +321,8 @@ def test_fast_random_mixed_run_stays_clean():
             # the new point's n-1 pairs are each measured once, for the
             # hierarchy, both pools, the table and the update's view
             assert measured_once(space, pid, lambda: structure.insert(pid, c)) == others
+            # the table takes the new row from the hierarchy's row
+            assert calls[-1] == 0
             alive.append(pid)
             next_id += 1
         assert_clean(structure)
