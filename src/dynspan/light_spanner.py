@@ -1,12 +1,15 @@
 """Dynamic low-stretch, low-weight spanner over a changing point set.
 
 The maintained graph is a lazily pruned subset of a net-derived candidate
-edge pool.  A candidate edge joins the output when the graph built from
+edge pool, held as that pool's ``out`` flags (``NetSpanner.out``) and
+nowhere else.  A candidate edge joins the output when the graph built from
 strictly shorter output edges fails to connect its endpoints within
 stretch 1+eps; it is dropped again when that path reappears.  Pruning
 decisions are only revisited near an updated point, which keeps per-update
 work local while a slack band between the join threshold (1+eps) and the
-guaranteed separation (1+eps/3) absorbs the drift in between.
+guaranteed separation (1+eps/3) absorbs the drift in between.  An update
+decides each pool pair at most once, so the flags it flips, and the output
+edges a delete takes away with its pool edges, are the update's report.
 
 Two update strategies share all bookkeeping.  Each reads the updated
 point's distances from the hierarchy's row (``NetHierarchy.distance``),
@@ -14,9 +17,9 @@ where each is measured once per update:
 
 * ``exact`` reads the updated point's distance to every active point off
   that row and takes one snapshot of the candidate pool per update, as
-  arrays of stored weights with the output's edges flagged.  Each scale
-  picks its revisited edges and the output edges below it with masks over
-  that snapshot, and settles the revisited edges with one batched
+  arrays of stored weights and of the edges' columns in the pool.  Each
+  scale picks its revisited edges and the output edges below it with masks
+  over that snapshot, and settles the revisited edges with one batched
   Dijkstra search over those output edges, among the points within the
   scale's reach of the updated point, truncated at ``1+eps`` times the
   longest revisited edge.  Nothing is memoised between updates.
@@ -31,7 +34,7 @@ where each is measured once per update:
   scale reads its refreshed pairs and its sketch's vertices and distances
   from that one view.  The pool edges to decide come, as in exact mode,
   from one snapshot of the candidate pool over the view's points, masked
-  per scale, and a sketch takes its output edges from the same snapshot.
+  per scale, and a sketch reads the output flags of that snapshot's edges.
   An estimate is a plain float, since its pair's scale fixes its
   approximation factor.
 
@@ -116,32 +119,12 @@ class DynamicLightSpanner:
             )
         self.counters: dict[str, int] = {"ball_queries": 0, "relaxations": 0, "examined": 0}
         self.hierarchy = NetHierarchy(space, counters=self.counters)
-        # base pool: candidates for the output; dense pool: the distance
-        # table of the pairs that carry cached estimates, kept only in
-        # fast mode
+        # base pool: candidates for the output, which its out flags mark;
+        # dense pool: the distance table of the pairs that carry cached
+        # estimates, kept only in fast mode
         self.base = NetSpanner(self.hierarchy, self.eps)
         self.dense = AllPairs(self.hierarchy)
-        self.light: set[Edge] = set()
         self.estimates = EstimateStore()
-
-    # -- output edge bookkeeping -----------------------------------------
-
-    def _apply(self, u: int, v: int, covered: bool, added: set[Edge], removed: set[Edge]) -> None:
-        e = (u, v) if u < v else (v, u)
-        if covered:
-            if e in self.light:
-                self.light.remove(e)
-                if e in added:
-                    added.discard(e)
-                else:
-                    removed.add(e)
-        else:
-            if e not in self.light:
-                self.light.add(e)
-                if e in removed:
-                    removed.discard(e)
-                else:
-                    added.add(e)
 
     # -- updates -----------------------------------------------------------
 
@@ -172,11 +155,11 @@ class DynamicLightSpanner:
     ) -> UpdateReport:
         """Carry the hierarchy's changeset into the pools and the output, and
         report the update that started at ``t0`` with the counters ``before``."""
-        added: set[Edge] = set()
-        removed: set[Edge] = set()
-        base_added, base_removed = self.base.sync(changes)
-        for u, v in base_removed:
-            self._apply(u, v, True, added, removed)
+        # a delete's output edges leave with its pool edges; every other
+        # flip is one pair's verdict, and a pair is decided at most once
+        added: list[Edge] = []
+        removed = self.base.output(pid)
+        base_added, _ = self.base.sync(changes)
         if self.mode == "fast":
             dense_added, dense_removed = self.dense.sync(changes)
             for e in dense_removed:
@@ -202,7 +185,7 @@ class DynamicLightSpanner:
 
     # -- exact strategy ----------------------------------------------------
 
-    def _reselect_exact(self, x: int, added: set[Edge], removed: set[Edge]) -> None:
+    def _reselect_exact(self, x: int, added: list[Edge], removed: list[Edge]) -> None:
         one = 1.0 + self.eps
         dist = self.hierarchy.distance
         # Every active point, nearest first.  Each scale searches the prefix
@@ -212,7 +195,7 @@ class DynamicLightSpanner:
         # least 4 * 2**top) takes in every point measured here.
         near = sorted((dist(x, y), y) for y in self.hierarchy.levels[0])
         d_x = np.array([d for d, _ in near], dtype=float)
-        a, b, weights, edges, in_output = self._snapshot({y: k for k, (_, y) in enumerate(near)})
+        snap = a, b, weights, _, keep = self.base.snapshot({y: k for k, (_, y) in enumerate(near)})
         scale = np.frexp(weights)[1]  # scale_of, bit for bit
         reach = np.maximum(d_x[a], d_x[b])
         for i in range(self.top + 1):
@@ -229,7 +212,7 @@ class DynamicLightSpanner:
             # the output edges of lower scales among the first k points, with
             # the verdicts of this update's lower scales already applied, as
             # a CSR graph that holds both directions of each edge
-            below = np.flatnonzero(in_output & (scale < i) & (a < k) & (b < k))
+            below = np.flatnonzero(self.base.out[keep] & (scale < i) & (a < k) & (b < k))
             tails = np.concatenate([a[below], b[below]])
             order = np.argsort(tails)
             indptr = np.zeros(k + 1, dtype=np.intp)
@@ -242,35 +225,25 @@ class DynamicLightSpanner:
             rows = csgraph.dijkstra(graph, directed=True, indices=sources, limit=limit)
             self.counters["relaxations"] += int(np.count_nonzero(np.isfinite(rows)))
             found = rows[np.searchsorted(sources, a[pairs]), b[pairs]]
-            self._settle(edges, pairs, found <= one * weights[pairs], in_output, added, removed)
-
-    def _snapshot(self, pos: dict[int, int]) -> tuple:
-        """``base.snapshot(pos)`` as ``a, b, weights, edges``, plus whether
-        each edge is in the output.  The output lies inside the pool, so
-        these flags hold every output edge among the points of ``pos``."""
-        a, b, weights, edges = self.base.snapshot(pos)
-        n = len(pos)
-        keys = [pos[u] * n + pos[v] for u, v in self.light if u in pos and v in pos]
-        return a, b, weights, edges, np.isin(a * n + b, keys)
+            self._settle(snap, pairs, found <= one * weights[pairs], added, removed)
 
     def _settle(
         self,
-        edges: tuple[np.ndarray, np.ndarray],
+        snap: tuple,
         pairs: np.ndarray,
         covered: np.ndarray,
-        in_output: np.ndarray,
-        added: set[Edge],
-        removed: set[Edge],
+        added: list[Edge],
+        removed: list[Edge],
     ) -> None:
-        """Apply the verdicts ``covered`` on the snapshot ``edges[pairs]``
-        that disagree with membership, in sorted edge order, and keep the
-        ``in_output`` flags in step."""
-        flips = pairs[covered == in_output[pairs]]
-        u, v = edges
-        for eu, ev, k in sorted(zip(u[flips].tolist(), v[flips].tolist(), flips.tolist())):
-            # a covered edge is kept, or the reverse: the verdict is the flag
-            self._apply(eu, ev, bool(in_output[k]), added, removed)
-            in_output[k] = not in_output[k]
+        """Write the verdicts ``covered`` on the snapshot's edges ``pairs``
+        into the output flags, and list each edge that flips."""
+        _, _, _, (u, v), keep = snap
+        out = self.base.out
+        # a covered edge is kept, or the reverse: the verdict is the flag
+        flip = covered == out[keep[pairs]]
+        out[keep[pairs[flip]]] = ~covered[flip]
+        for flipped, into in ((flip & covered, removed), (flip & ~covered, added)):
+            into += zip(u[pairs[flipped]].tolist(), v[pairs[flipped]].tolist())
 
     # -- fast strategy -------------------------------------------------------
 
@@ -280,16 +253,15 @@ class DynamicLightSpanner:
         x, the largest radius that any scale of an update around x reads."""
         return Neighbourhood(self.dense, x)
 
-    def _reselect_fast(self, view: Neighbourhood, added: set[Edge], removed: set[Edge]) -> None:
+    def _reselect_fast(self, view: Neighbourhood, added: list[Edge], removed: list[Edge]) -> None:
         one = 1.0 + self.eps
         dstar = self.estimates.dstar
-        snap = a, b, weights, edges, in_output = self._snapshot(view.pos)
+        snap = a, b, weights, (u, v), _ = self.base.snapshot(view.pos)
         scale = np.frexp(weights)[1]  # scale_of, bit for bit
         reach = np.maximum(view.to_center[a], view.to_center[b])
-        u, v = edges
         for i in range(self.top + 1):
-            # the sketches read the output off snap, whose flags _settle
-            # keeps in step with the verdicts of the lower scales
+            # the sketches read the output flags, which _settle has already
+            # set for the verdicts of the lower scales
             self._update_estimates(view, i, snap)
             pairs = np.flatnonzero((scale == i) & (reach <= 8.0 * (1 << i)))
             if not len(pairs):
@@ -301,11 +273,11 @@ class DynamicLightSpanner:
                 raise RuntimeError(
                     f"missing separation estimate for pair {missing.args[0]}"
                 ) from None
-            self._settle(edges, pairs, found <= one * weights[pairs], in_output, added, removed)
+            self._settle(snap, pairs, found <= one * weights[pairs], added, removed)
 
     def _update_estimates(self, view: Neighbourhood, i: int, snap: tuple) -> None:
         """Refresh cached estimates for pairs near the view's center at scale
-        iteration i; ``snap`` is ``_snapshot(view.pos)``."""
+        iteration i; ``snap`` is ``base.snapshot(view.pos)``."""
         radius = 4.0 * (1 << i)
         none = (np.empty(0, dtype=np.intp),) * 2
         pairs_dl = view.pairs(i - 2, radius) if i >= 2 else none
@@ -343,8 +315,9 @@ class DynamicLightSpanner:
 
         Vertices are net points near the view's center, returned as view
         positions in ascending order.  Pairs in the middle distance band
-        contribute an edge exactly when they are in the output, as flagged
-        in ``snap`` (``_snapshot(view.pos)``); pairs in the low band always
+        contribute an edge exactly when they are in the output, read from
+        the output flags of ``snap`` (``base.snapshot(view.pos)``); pairs in
+        the low band always
         contribute an edge, weighted by their cached output-graph distance.
         """
         iprime = max(0, scale_of(self.eps_small * float(1 << at_scale)) - 1)
@@ -357,9 +330,9 @@ class DynamicLightSpanner:
         vertex[members] = np.arange(n)
         # middle band: the output edges among the vertices; view positions
         # follow id order, so a < b and each edge lands above the diagonal
-        a, b, weights, _, in_output = snap
+        a, b, weights, _, keep = snap
         mid = np.flatnonzero(
-            in_output
+            self.base.out[keep]
             & (vertex[a] >= 0)
             & (vertex[b] >= 0)
             & (2.0 ** (at_scale - 3) <= weights)
@@ -390,7 +363,7 @@ class DynamicLightSpanner:
         if self.mode != "fast":
             raise ValueError("estimate needs mode='fast'")
         view = self._view(center)
-        members, graph = self._build_sketch(view, at_scale, self._snapshot(view.pos))
+        members, graph = self._build_sketch(view, at_scale, self.base.snapshot(view.pos))
         vertex = {view.ids[k]: j for j, k in enumerate(members.tolist())}
         if u not in vertex or v not in vertex:
             return INF
@@ -414,36 +387,28 @@ class DynamicLightSpanner:
     # -- queries ---------------------------------------------------------------
 
     def light_edges(self) -> list[Edge]:
-        return sorted(self.light)
+        return self.base.output()
 
     def base_edges(self) -> list[Edge]:
         return self.base.edges()
 
     def edge_count(self) -> int:
-        return len(self.light)
+        return int(np.count_nonzero(self.base.out))
 
     def total_weight(self) -> float:
-        dist = self.space.distance
-        return sum(dist(u, v) for u, v in self.light)
+        """The output's stored weights, summed exactly rounded, so in no
+        particular order."""
+        return math.fsum(self.base.w[self.base.out].tolist())
 
     def lightness(self) -> float:
         """Output weight over minimum spanning tree weight of the active set."""
         ids = sorted(self.space.active)
         if len(ids) < 2:
             raise ValueError("lightness needs at least two active points")
-        if not self.light:
+        if not self.base.out.any():
             raise ValueError("output spanner has no edges")
         mst = csgraph.minimum_spanning_tree(distance_matrix(self.space, ids))
         return self.total_weight() / float(mst.sum())
-
-    def dump_spanner(self) -> str:
-        """One line per output edge, ``u v length scale``, sorted by endpoints."""
-        dist = self.space.distance
-        lines = []
-        for u, v in sorted(self.light):
-            d = dist(u, v)
-            lines.append(f"{u} {v} {d!r} {scale_of(d)}")
-        return "\n".join(lines)
 
     def dump_estimates(self) -> str:
         """One line per cached pair, ``u v scale dstar dlight``, sorted."""

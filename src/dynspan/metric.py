@@ -74,11 +74,6 @@ class MetricSpace:
     def distance(self, u: int, v: int) -> float:
         return math.dist(self.coords(u), self.coords(v))
 
-    def is_active(self, pid: int) -> bool:
-        return pid in self.active
-
-    def known_ids(self) -> Iterable[int]:
-        return self._coords.keys()
 
 
 class DistanceMatrixSpace:
@@ -131,13 +126,6 @@ class DistanceMatrixSpace:
         if u not in self._known or v not in self._known:
             raise KeyError(f"unknown point id in pair ({u}, {v})")
         return self._matrix[u][v]
-
-    def is_active(self, pid: int) -> bool:
-        return pid in self.active
-
-    def known_ids(self) -> Iterable[int]:
-        return self._known
-
 
 def distance_matrix(space, ids: list[int]) -> np.ndarray:
     """Pairwise distances of ``ids`` as a symmetric matrix.

@@ -3,10 +3,14 @@
 Two points u, v are joined by an edge when some level i of the hierarchy
 contains both and their distance is at most ``c * 2**i`` with
 ``c = 4 + 16 / eps``.  The edges are a plain set, held as flat columns of
-endpoints and weights: each edge's weight is measured once, when it joins,
-and every later reader takes the stored value.  ``snapshot`` hands an
-update the edges among the points it has measured, as arrays, so that the
-update can pick each scale's edges with masks.
+endpoints, weights and an ``out`` flag: each edge's weight is measured
+once, when it joins, and every later reader takes the stored value.  The
+flag marks the edges a pruning of the pool keeps (``DynamicLightSpanner``'s
+output), so that output lives here and nowhere else: a new edge joins
+unflagged, and the flag leaves with its edge.  ``snapshot`` hands an update
+the edges among the points it has measured, as arrays with their column
+indices, so that the update can pick each scale's edges with masks and
+write its verdicts back into the flags.
 
 The hierarchy never removes a surviving point from a level: an insert only
 adds the new point, and a delete removes only the deleted point, from every
@@ -44,9 +48,10 @@ def _pair(u: int, v: int) -> Edge:
 class NetSpanner:
     """Edge set over hierarchy levels, kept in sync with membership events.
 
-    The edges are three flat columns in no fixed order: edge k joins
-    ``u[k] < v[k]`` and weighs ``w[k] == space.distance(u[k], v[k])``,
-    measured once, when the edge joined.
+    The edges are four flat columns in no fixed order: edge k joins
+    ``u[k] < v[k]``, weighs ``w[k] == space.distance(u[k], v[k])``,
+    measured once, when the edge joined, and is in the output when
+    ``out[k]``.
     """
 
     def __init__(self, hierarchy: NetHierarchy, eps: float):
@@ -58,6 +63,7 @@ class NetSpanner:
         self.u = np.empty(0, dtype=np.int64)
         self.v = np.empty(0, dtype=np.int64)
         self.w = np.empty(0)
+        self.out = np.empty(0, dtype=bool)
 
     # -- synchronisation ------------------------------------------------
 
@@ -88,16 +94,20 @@ class NetSpanner:
                     self.u = np.concatenate([self.u, [u for u, _ in new]])
                     self.v = np.concatenate([self.v, [v for _, v in new]])
                     self.w = np.concatenate([self.w, [dist(u, v) for u, v in new]])
+                    self.out = np.concatenate([self.out, np.zeros(len(new), dtype=bool)])
                     added += new
             elif mine.any():
                 removed += zip(self.u[mine].tolist(), self.v[mine].tolist())
                 keep = ~mine
-                self.u, self.v, self.w = self.u[keep], self.v[keep], self.w[keep]
+                self.u, self.v, self.w, self.out = (
+                    self.u[keep], self.v[keep], self.w[keep], self.out[keep]
+                )
         return (sorted(added), sorted(removed))
 
     def rebuild(self) -> None:
-        """Recompute the edge set from scratch (testing aid)."""
-        self.u, self.v, self.w = self.u[:0], self.v[:0], self.w[:0]
+        """Recompute the edge set from scratch, with no edge in the output
+        (testing aid)."""
+        self.u, self.v, self.w, self.out = self.u[:0], self.v[:0], self.w[:0], self.out[:0]
         self.sync([
             (level, pid, True)
             for level, members in enumerate(self.hierarchy.levels)
@@ -105,10 +115,6 @@ class NetSpanner:
         ])
 
     # -- queries ---------------------------------------------------------
-
-    def contains(self, u: int, v: int) -> bool:
-        u, v = _pair(u, v)
-        return bool(np.any((self.u == u) & (self.v == v)))
 
     def _weighted(self) -> list[tuple[int, int, float]]:
         """Every edge as ``(u, v, weight)``, sorted."""
@@ -124,6 +130,11 @@ class NetSpanner:
     def total_weight(self) -> float:
         return sum(w for _, _, w in self._weighted())
 
+    def output(self, pid: int | None = None) -> list[Edge]:
+        """The output edges, or only those of point ``pid``, sorted."""
+        mask = self.out if pid is None else self.out & ((self.u == pid) | (self.v == pid))
+        return sorted(zip(self.u[mask].tolist(), self.v[mask].tolist()))
+
     def max_degree(self) -> int:
         if not len(self.u):
             return 0
@@ -131,13 +142,15 @@ class NetSpanner:
 
     def snapshot(
         self, pos: dict[int, int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
         """Every edge with both endpoints in ``pos`` (point id -> position),
         in no fixed order: the positions ``a`` of u and ``b`` of v, the
-        weights, and the edges themselves as id arrays ``(u, v)``, u < v."""
+        weights, the edges themselves as id arrays ``(u, v)``, u < v, and
+        their column indices ``keep``, so that ``out[keep]`` flags the
+        output edges among them."""
         if not pos:
             none = np.empty(0, dtype=np.intp)
-            return none, none, self.w[:0], (self.u[:0], self.v[:0])
+            return none, none, self.w[:0], (self.u[:0], self.v[:0]), none
         # pos as parallel arrays sorted by id, looked up by binary search
         ids = np.fromiter(pos, dtype=np.int64, count=len(pos))
         at = np.fromiter(pos.values(), dtype=np.intp, count=len(pos))
@@ -146,12 +159,12 @@ class NetSpanner:
         ku = np.minimum(np.searchsorted(ids, self.u), len(ids) - 1)
         kv = np.minimum(np.searchsorted(ids, self.v), len(ids) - 1)
         keep = np.flatnonzero((ids[ku] == self.u) & (ids[kv] == self.v))
-        return at[ku[keep]], at[kv[keep]], self.w[keep], (self.u[keep], self.v[keep])
+        return at[ku[keep]], at[kv[keep]], self.w[keep], (self.u[keep], self.v[keep]), keep
 
     def edges_at_scale_in_ball(self, ascale: int, center: int, r: float) -> list[Edge]:
         """All edges of scale ``ascale`` with both endpoints within r of center."""
         inside = self.hierarchy.ball(0, center, r)
-        _, _, weights, (u, v) = self.snapshot({pid: k for k, pid in enumerate(inside)})
+        _, _, weights, (u, v), _ = self.snapshot({pid: k for k, pid in enumerate(inside)})
         # frexp's exponent is scale_of, bit for bit
         keep = np.frexp(weights)[1] == ascale
         return sorted(zip(u[keep].tolist(), v[keep].tolist()))

@@ -53,16 +53,6 @@ class NetHierarchy:
     def list_radius(self, level: int) -> float:
         return 4.0 * float(1 << level)
 
-    def contains(self, level: int, pid: int) -> bool:
-        return pid in self.levels[level]
-
-    def max_level(self, pid: int) -> int:
-        """Highest level containing pid, or -1."""
-        for i in range(self.top, -1, -1):
-            if pid in self.levels[i]:
-                return i
-        return -1
-
     # -- membership mutation, keeping neighbor lists symmetric ----------------
 
     def _add_member(self, level: int, pid: int, changes: list[Change] | None = None) -> None:

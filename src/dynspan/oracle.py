@@ -165,10 +165,13 @@ def check_invariants(
     Each base edge not kept in the light set must already be covered
     within stretch 1+eps by light edges of strictly smaller scale, and
     each kept edge must genuinely be needed (not covered within stretch
-    1+eps/3 by smaller-scale light edges).  Distances are evaluated by
-    inserting light edges scale bucket by scale bucket into an exact
-    all-pairs matrix, so every pair is judged against exactly the edges
-    below its own scale.
+    1+eps/3 by smaller-scale light edges).  Distances are evaluated in an
+    exact all-pairs matrix that takes the light edges scale by scale, so
+    every pair is judged against exactly the edges below its own scale.
+    A scale's edges are written into the matrix, which is then relaxed
+    through each of their endpoints in turn: the matrix was closed before,
+    so a new shortest path breaks only at the ends of new edges, and
+    Floyd-Warshall over those pivots alone closes it again.
     """
     violations: list[str] = []
     light = set(light_edges)
@@ -176,6 +179,8 @@ def check_invariants(
     for e in light:
         if e not in base:
             violations.append(f"not-in-base {e[0]} {e[1]}")
+    if not base:
+        return violations
     if ids is None:
         ids = sorted(space.active)
     idx = {pid: k for k, pid in enumerate(ids)}
@@ -183,34 +188,34 @@ def check_invariants(
     d = np.full((n, n), INF)
     np.fill_diagonal(d, 0.0)
 
-    by_scale_base: dict[int, list[Edge]] = {}
-    for e in base:
-        by_scale_base.setdefault(scale_of(space.distance(*e)), []).append(e)
-    by_scale_light: dict[int, list[Edge]] = {}
-    for e in light:
-        by_scale_light.setdefault(scale_of(space.distance(*e)), []).append(e)
-    if not by_scale_base:
-        return violations
+    # every edge measured once; frexp's exponent is scale_of, bit for bit
+    pairs = sorted(base | light)
+    weights = [space.distance(u, v) for u, v in pairs]
+    w = np.array(weights, dtype=float)
+    scale = np.frexp(w)[1]
+    a = np.array([idx[u] for u, _ in pairs], dtype=np.intp)
+    b = np.array([idx[v] for _, v in pairs], dtype=np.intp)
+    in_base = np.array([e in base for e in pairs])
+    in_light = np.array([e in light for e in pairs])
+    kept = in_light | np.array([(v, u) in light for u, v in pairs])
 
-    for s in range(max(by_scale_base) + 1):
-        for u, v in sorted(by_scale_base.get(s, ())):
-            w = space.distance(u, v)
-            ds = d[idx[u], idx[v]]
-            if (u, v) in light or (v, u) in light:
-                if ds <= (1.0 + eps / 3.0) * w - slack:
-                    violations.append(
-                        f"redundant-edge {u} {v} dstar={ds!r} weight={w!r}"
-                    )
-            else:
-                if ds > (1.0 + eps) * w + slack:
-                    violations.append(
-                        f"missing-cover {u} {v} dstar={ds!r} weight={w!r}"
-                    )
-        for u, v in sorted(by_scale_light.get(s, ())):
-            w = space.distance(u, v)
-            a, b = idx[u], idx[v]
-            np.minimum(d, np.add.outer(d[:, a], d[b, :]) + w, out=d)
-            np.minimum(d, np.add.outer(d[:, b], d[a, :]) + w, out=d)
+    for s in range(int(scale[in_base].max()) + 1):
+        judged = np.flatnonzero(in_base & (scale == s))
+        ds = d[a[judged], b[judged]]
+        bad = np.where(
+            kept[judged],
+            ds <= (1.0 + eps / 3.0) * w[judged] - slack,
+            ds > (1.0 + eps) * w[judged] + slack,
+        )
+        for k in np.flatnonzero(bad).tolist():
+            (u, v), j = pairs[judged[k]], judged[k]
+            kind = "redundant-edge" if kept[j] else "missing-cover"
+            violations.append(f"{kind} {u} {v} dstar={ds[k]!r} weight={weights[j]!r}")
+        new = np.flatnonzero(in_light & (scale == s))
+        np.minimum.at(d, (a[new], b[new]), w[new])
+        np.minimum.at(d, (b[new], a[new]), w[new])
+        for p in np.unique(np.concatenate([a[new], b[new]])).tolist():
+            np.minimum(d, d[:, p, None] + d[None, p, :], out=d)
     return violations
 
 

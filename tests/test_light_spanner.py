@@ -51,6 +51,15 @@ def assert_clean(structure):
     )
 
 
+def assert_report_is_the_diff(before, structure, report):
+    """The report lists exactly the edges the update added to and removed
+    from the output ``before`` it, sorted."""
+    after = set(structure.light_edges())
+    assert report.added == sorted(after - before)
+    assert report.removed == sorted(before - after)
+    assert report.recourse == len(report.added) + len(report.removed)
+
+
 def measured_once(space, pid, update):
     """Run ``update()`` with ``space.distance`` counted, assert that it
     measured no pair with ``pid`` twice, and return the other ends of the
@@ -112,7 +121,7 @@ def test_delete_reroutes_around_the_gap():
     assert report.op == "delete" and report.point == 3
     assert all(3 not in e for e in structure.light_edges())
     assert all(3 not in e for e in structure.base_edges())
-    assert (2, 4) in structure.light  # bridges the gap
+    assert (2, 4) in structure.light_edges()  # bridges the gap
     assert_clean(structure)
 
 
@@ -197,7 +206,7 @@ def test_update_preconditions():
 
 def test_triangle_leaves_out_the_covered_long_edge():
     structure, _ = build([0.0, 1.0, 2.1], 8.0)
-    assert structure.base.contains(0, 2)
+    assert (0, 2) in structure.base.edges()
     assert structure.light_edges() == [(0, 1), (1, 2)]
     assert_clean(structure)
     # the two-hop detour 2.1 <= (1+eps) * 2.1 decides membership
@@ -208,17 +217,17 @@ def test_reselect_far_from_everything_changes_nothing():
     structure, _ = build([0.0, 1.0, 1500.0], 2048.0)
     structure.delete(2)
     assert structure.light_edges() == [(0, 1)]
-    added, removed = set(), set()
+    added, removed = [], []
     structure._reselect_exact(2, added, removed)  # center is the far, deleted point
-    assert added == set() and removed == set()
+    assert added == [] and removed == []
     assert structure.light_edges() == [(0, 1)]
 
 
 def test_reselect_is_idempotent_on_settled_structure():
     structure, _ = build([0.0, 1.0, 2.1], 8.0)
-    added, removed = set(), set()
+    added, removed = [], []
     structure._reselect_exact(0, added, removed)
-    assert added == set() and removed == set()
+    assert added == [] and removed == []
 
 
 @pytest.mark.parametrize("kind", ["plane", "matrix"])
@@ -245,7 +254,7 @@ def test_lightness_preconditions():
     with pytest.raises(ValueError):
         structure.lightness()
     structure.insert(1, (5.0,))
-    structure.light.clear()
+    structure.base.out[:] = False
     with pytest.raises(ValueError):
         structure.lightness()
 
@@ -310,9 +319,11 @@ def test_fast_random_mixed_run_stays_clean():
         next_id += 1
     alive = [ident(k) for k in range(20)]
     for _ in range(24):
+        before = set(structure.light_edges())
+        reports = []
         if alive and rng.random() < 0.4:
             pid = alive.pop(rng.randrange(len(alive)))
-            measured_once(space, pid, lambda: structure.delete(pid))
+            measured_once(space, pid, lambda: reports.append(structure.delete(pid)))
             assert calls[-1] == 0
         else:
             c = fresh_coords()
@@ -320,11 +331,13 @@ def test_fast_random_mixed_run_stays_clean():
             pid, others = ident(next_id), set(space.active)
             # the new point's n-1 pairs are each measured once, for the
             # hierarchy, both pools, the table and the update's view
-            assert measured_once(space, pid, lambda: structure.insert(pid, c)) == others
+            insert = lambda: reports.append(structure.insert(pid, c))
+            assert measured_once(space, pid, insert) == others
             # the table takes the new row from the hierarchy's row
             assert calls[-1] == 0
             alive.append(pid)
             next_id += 1
+        assert_report_is_the_diff(before, structure, reports[0])
         assert_clean(structure)
         assert sweep_estimate_store(structure) == []
         active = sorted(space.active)
@@ -360,7 +373,7 @@ def test_estimate_refresh_skips_output_loop_below_scale_two():
         for e in table:
             table[e] = sentinel
     view = structure._view(0)
-    snap = structure._snapshot(view.pos)
+    snap = structure.base.snapshot(view.pos)
     structure._update_estimates(view, 0, snap)
     structure._update_estimates(view, 1, snap)
     assert all(value == sentinel for value in dlight.values())
@@ -377,7 +390,7 @@ def test_estimate_refresh_without_nearby_edges_is_a_no_op():
     before_dl = dict(structure.estimates.dlight)
     view = structure._view(0)
     # no pool edges at scale 2 anywhere
-    structure._update_estimates(view, 2, structure._snapshot(view.pos))
+    structure._update_estimates(view, 2, structure.base.snapshot(view.pos))
     assert structure.estimates.dstar == before_ds
     assert structure.estimates.dlight == before_dl
 
@@ -431,7 +444,7 @@ def _reference_sketch(structure, center, at_scale):
     m = np.array([[structure.space.distance(*sorted((u, v))) for v in ids] for u in ids])
     rows, cols, data = [], [], []
     low = 0
-    for a, b in structure.light:
+    for a, b in structure.light_edges():
         if a in index and b in index:
             w = float(m[index[a], index[b]])
             if 2.0 ** (at_scale - 3) <= w < 2.0 ** (at_scale - 1):
@@ -456,7 +469,7 @@ def _assert_sketches_match_reference(structure, centers):
     bands = np.zeros(2, dtype=int)
     for center in centers:
         view = structure._view(center)
-        snap = structure._snapshot(view.pos)
+        snap = structure.base.snapshot(view.pos)
         for i in range(structure.top + 1):
             members, graph = structure._build_sketch(view, i, snap)
             ids, want, sizes = _reference_sketch(structure, center, i)
@@ -539,7 +552,7 @@ def test_fast_run_deletes_down_to_nothing():
     assert structure.estimates.dstar == {} and structure.estimates.dlight == {}
     assert all(not members for members in structure.hierarchy.levels)
     view = structure._view(0)
-    members, graph = structure._build_sketch(view, structure.top, structure._snapshot(view.pos))
+    members, graph = structure._build_sketch(view, structure.top, structure.base.snapshot(view.pos))
     assert len(members) == 0 and graph.shape == (0, 0)
 
 
@@ -569,18 +582,20 @@ def test_exact_random_mixed_run_stays_clean():
     next_id = 0
     alive = []
     for _ in range(44):
+        before = set(structure.light_edges())
         if alive and rng.random() < 0.35:
             pid = alive.pop(rng.randrange(len(alive)))
-            structure.delete(pid)
+            report = structure.delete(pid)
         else:
             while True:
                 c = (rng.uniform(0, 170), rng.uniform(0, 170))
                 if all(math.dist(c, p) >= 1.0 for p in placed.values()):
                     break
             placed[next_id] = c
-            structure.insert(next_id, c)
+            report = structure.insert(next_id, c)
             alive.append(next_id)
             next_id += 1
+        assert_report_is_the_diff(before, structure, report)
         assert_clean(structure)
     assert structure.counters["ball_queries"] > 0
     assert structure.counters["relaxations"] > 0
@@ -595,7 +610,7 @@ def _assert_reselection_matches_brute_force(structure, x):
         w = space.distance(u, v)
         r = 4.0 * (1 << scale_of(w))
         if space.distance(x, u) <= r and space.distance(x, v) <= r:
-            kept = (u, v) in structure.light
+            kept = (u, v) in light
             assert kept == (dstar(space, light, u, v) > one * w), (x, u, v)
 
 
@@ -644,9 +659,9 @@ def test_exact_detour_may_leave_the_update_ball():
     for pid, c in enumerate([(-3.0, 31.7), (3.0, 31.7), (0.0, 33.5), (0.0, 0.0)]):
         structure.insert(pid, c)
     assert space.distance(3, 2) > 32.0 >= max(space.distance(3, 0), space.distance(3, 1))
-    assert structure.base.contains(0, 1)
-    assert (0, 1) not in structure.light
-    assert {(0, 2), (1, 2)} <= structure.light
+    assert (0, 1) in structure.base.edges()
+    assert (0, 1) not in structure.light_edges()
+    assert {(0, 2), (1, 2)} <= set(structure.light_edges())
     _assert_reselection_matches_brute_force(structure, 3)
 
 
@@ -714,7 +729,8 @@ def test_short_pairs_ride_short_detours():
 
 def test_dump_formats():
     structure, _ = build([1.0, 2.0, 3.0], 8.0)
-    assert structure.dump_spanner().splitlines() == ["0 1 1.0 1", "1 2 1.0 1"]
+    assert structure.base.dump().splitlines() == ["0 1 1.0 1", "0 2 2.0 2", "1 2 1.0 1"]
+    assert structure.light_edges() == [(0, 1), (1, 2)]
     fast, _ = build([0, 1, 2, 3], 8.0, mode="fast")
     for line in fast.dump_estimates().splitlines():
         u, v, s, a, b = line.split()

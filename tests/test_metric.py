@@ -138,12 +138,9 @@ def test_deleted_points_stay_queryable():
     space.add_point(0, (1.0,))
     space.add_point(1, (4.0,))
     space.remove_point(0)
-    assert not space.is_active(0)
-    assert space.is_active(1)
+    assert space.active == {1}
     assert space.distance(0, 1) == 3.0
     assert space.coords(0) == (1.0,)
-    assert sorted(space.known_ids()) == [0, 1]
-    assert sorted(space.active) == [1]
 
 
 def test_remove_inactive_point_fails():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,14 +82,12 @@ def test_sync_agrees_with_rebuild():
     assert spanner.edges() == incremental
 
 
-def test_contains():
+def test_edges_drop_a_deleted_point():
     space, hier, spanner = path_instance(2, 8.0)
-    assert spanner.contains(0, 1)
-    assert spanner.contains(1, 0)
-    assert not spanner.contains(0, 0)
+    assert spanner.edges() == [(0, 1)]
     spanner.sync(hier.delete(1))
     space.remove_point(1)
-    assert not spanner.contains(0, 1)
+    assert spanner.edges() == []
 
 
 def test_removal_event_for_an_active_point_is_refused():
@@ -164,7 +163,8 @@ def test_pool_weights_are_the_measured_distances(kind):
         # a snapshot is the brute-force filter of the edge list
         chosen = rng.sample(alive, rng.randrange(len(alive) + 1))
         pos = {pid: k for k, pid in enumerate(chosen)}
-        a, b, weights, (u, v) = spanner.snapshot(pos)
+        a, b, weights, (u, v), keep = spanner.snapshot(pos)
+        assert np.array_equal(u, spanner.u[keep]) and np.array_equal(v, spanner.v[keep])
         got = sorted(zip(u.tolist(), v.tolist(), a.tolist(), b.tolist(), weights.tolist()))
         assert got == [
             (u, v, pos[u], pos[v], space.distance(u, v))

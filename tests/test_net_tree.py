@@ -33,7 +33,7 @@ def test_insert_into_empty_joins_every_level():
     hier = NetHierarchy(space)
     changes = hier.insert(0)
     assert changes == [(0, 0, True), (1, 0, True), (2, 0, True), (3, 0, True)]
-    assert hier.max_level(0) == 3
+    assert all(0 in members for members in hier.levels)
     assert validate_net_hierarchy(hier) == []
 
 
@@ -45,8 +45,7 @@ def test_insert_joins_levels_below_first_covered():
     hier.insert(0)
     changes = hier.insert(1)
     assert changes == [(0, 1, True), (1, 1, True), (2, 1, True)]
-    assert hier.max_level(1) == 2
-    assert not hier.contains(3, 1)
+    assert [1 in members for members in hier.levels] == [True, True, True, False]
     assert validate_net_hierarchy(hier) == []
 
 
@@ -56,7 +55,7 @@ def test_insert_close_point_joins_only_bottom():
     hier.insert(0)
     changes = hier.insert(1)  # 1 < 2**1, first covered at level 1
     assert changes == [(0, 1, True)]
-    assert hier.max_level(1) == 0
+    assert [1 in members for members in hier.levels] == [True, False, False, False]
 
 
 def test_insert_preconditions():

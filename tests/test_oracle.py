@@ -4,6 +4,7 @@ against each other (the two shortest-path routes, the two MST routes)."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dynspan.light_spanner import KAPPA, DynamicLightSpanner
@@ -125,6 +126,87 @@ def test_check_invariants_foreign_edge():
     space = line_space([0, 1], 8.0)
     found = check_invariants(space, [], [(0, 1)], 1.0)
     assert "not-in-base 0 1" in found
+
+
+def _per_edge_check_invariants(space, base_edges, light_edges, eps, slack=1e-9):
+    """check_invariants as it was first written: each light edge enters the
+    all-pairs matrix on its own, by two rank-one min-plus updates."""
+    violations = []
+    light = set(light_edges)
+    base = set(base_edges)
+    for e in light:
+        if e not in base:
+            violations.append(f"not-in-base {e[0]} {e[1]}")
+    ids = sorted(space.active)
+    idx = {pid: k for k, pid in enumerate(ids)}
+    d = np.full((len(ids), len(ids)), INF)
+    np.fill_diagonal(d, 0.0)
+    by_scale_base, by_scale_light = {}, {}
+    for e in base:
+        by_scale_base.setdefault(scale_of(space.distance(*e)), []).append(e)
+    for e in light:
+        by_scale_light.setdefault(scale_of(space.distance(*e)), []).append(e)
+    if not by_scale_base:
+        return violations
+    for s in range(max(by_scale_base) + 1):
+        for u, v in sorted(by_scale_base.get(s, ())):
+            w = space.distance(u, v)
+            ds = d[idx[u], idx[v]]
+            if (u, v) in light or (v, u) in light:
+                if ds <= (1.0 + eps / 3.0) * w - slack:
+                    violations.append(f"redundant-edge {u} {v} dstar={ds!r} weight={w!r}")
+            elif ds > (1.0 + eps) * w + slack:
+                violations.append(f"missing-cover {u} {v} dstar={ds!r} weight={w!r}")
+        for u, v in sorted(by_scale_light.get(s, ())):
+            w = space.distance(u, v)
+            a, b = idx[u], idx[v]
+            np.minimum(d, np.add.outer(d[:, a], d[b, :]) + w, out=d)
+            np.minimum(d, np.add.outer(d[:, b], d[a, :]) + w, out=d)
+    return violations
+
+
+def test_check_invariants_matches_the_per_edge_reference():
+    # clean states of seeded runs, and the same states with output edges
+    # dropped, pool edges added and a pair from outside the pool added;
+    # only the dstar values may differ, as their sums run in another order
+    rng = random.Random(3)
+
+    def verdicts(messages):
+        return [m.split(" dstar=")[0] for m in messages]
+
+    states = flagged = 0
+    for mode, eps in (("exact", 0.25), ("exact", 1.0), ("fast", 0.5)):
+        space = MetricSpace(2, 128.0)
+        structure = DynamicLightSpanner(space, eps, mode)
+        alive = []
+        for pid in range(56):
+            if len(alive) > 12 and rng.random() < 0.35:
+                structure.delete(alive.pop(rng.randrange(len(alive))))
+            else:
+                c = (rng.uniform(0, 85), rng.uniform(0, 85))
+                if any(math.dist(c, space.coords(y)) < 1.0 for y in alive):
+                    continue
+                structure.insert(pid, c)
+                alive.append(pid)
+            if pid % 4:
+                continue
+            base, light = structure.base_edges(), structure.light_edges()
+            ids, pool = sorted(alive), set(base)
+            foreign = [(u, v) for k, u in enumerate(ids) for v in ids[k + 1:] if (u, v) not in pool]
+            for output in (
+                light,
+                [e for e in light if rng.random() < 0.8],
+                sorted(set(light) | set(rng.sample(base, len(base) // 10))),
+                light + foreign[:1],
+            ):
+                got = check_invariants(space, base, output, eps)
+                want = _per_edge_check_invariants(space, base, output, eps)
+                assert verdicts(got) == verdicts(want)
+                if output == light:
+                    assert got == []
+                states += 1
+                flagged += len(got)
+    assert states > 100 and flagged > 100
 
 
 def test_max_stretch_trivia():
