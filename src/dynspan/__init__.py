@@ -7,7 +7,7 @@ reference oracles and a benchmark harness.
 """
 
 from .harness import RunResult, RunSummary, ScenarioConfig, build_structure, lightness_sweep, run
-from .light_spanner import DynamicLightSpanner, EstimateStore, UpdateReport
+from .light_spanner import DynamicLightSpanner, UpdateReport
 from .metric import DistanceMatrixSpace, MetricSpace, scale_of, validate_bounded
 from .net_spanner import NetSpanner
 from .net_tree import NetHierarchy
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DistanceMatrixSpace",
     "DynamicLightSpanner",
-    "EstimateStore",
     "MetricSpace",
     "NetHierarchy",
     "NetSpanner",

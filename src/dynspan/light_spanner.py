@@ -36,7 +36,12 @@ where each is measured once per update:
   from one snapshot of the candidate pool over the view's points, masked
   per scale, and a sketch reads the output flags of that snapshot's edges.
   An estimate is a plain float, since its pair's scale fixes its
-  approximation factor.
+  approximation factor.  The two estimate tables (``AllPairs.dstar`` and
+  ``AllPairs.dlight``) are symmetric arrays aligned with the distance
+  table, NaN where no estimate was written: a refresh stores with two
+  fancy-index writes and reselection reads with one gather.  A sketch is a
+  symmetric CSR graph holding both directions of each edge, searched as a
+  directed graph.
 
 Inserts are refused by the hierarchy, before any structure changes,
 unless the new point is at distance in [1, phi) from every active point;
@@ -47,7 +52,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -56,7 +62,7 @@ from scipy.sparse import csgraph, csr_matrix
 from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 
 from .metric import distance_matrix, scale_of
-from .net_spanner import AllPairs, Neighbourhood, NetSpanner
+from .net_spanner import AllPairs, Neighbourhood, NetSpanner, PairTable
 from .net_tree import Change, NetHierarchy
 
 Edge = tuple[int, int]
@@ -67,18 +73,18 @@ INF = math.inf
 KAPPA = 342
 
 
-@dataclass
-class EstimateStore:
-    """Cached coarse distances, keyed by candidate-pool edge.
+class Estimates(NamedTuple):
+    """Read-only views of the cached coarse distances, keyed by pair.
 
     ``dstar`` approximates the distance over output edges strictly below
     the pair's own scale; ``dlight`` approximates the plain distance over
     all output edges and is refreshed two scale iterations after the
     pair's own scale.  An entry written at scale iteration i is within
-    the factor ``1 + KAPPA * i * eps_small`` of its target."""
+    the factor ``1 + KAPPA * i * eps_small`` of its target.  The values
+    live in the dense pool's tables of the same names."""
 
-    dstar: dict[Edge, float] = field(default_factory=dict)
-    dlight: dict[Edge, float] = field(default_factory=dict)
+    dstar: PairTable
+    dlight: PairTable
 
 
 @dataclass
@@ -121,10 +127,11 @@ class DynamicLightSpanner:
         self.hierarchy = NetHierarchy(space, counters=self.counters)
         # base pool: candidates for the output, which its out flags mark;
         # dense pool: the distance table of the pairs that carry cached
-        # estimates, kept only in fast mode
+        # estimates, and the estimate tables aligned with it, kept only in
+        # fast mode
         self.base = NetSpanner(self.hierarchy, self.eps)
         self.dense = AllPairs(self.hierarchy)
-        self.estimates = EstimateStore()
+        self.estimates = Estimates(PairTable(self.dense, "dstar"), PairTable(self.dense, "dlight"))
 
     # -- updates -----------------------------------------------------------
 
@@ -161,10 +168,7 @@ class DynamicLightSpanner:
         removed = self.base.output(pid)
         base_added, _ = self.base.sync(changes)
         if self.mode == "fast":
-            dense_added, dense_removed = self.dense.sync(changes)
-            for e in dense_removed:
-                self.estimates.dstar.pop(e, None)
-                self.estimates.dlight.pop(e, None)
+            dense_added, _ = self.dense.sync(changes)
             view = self._view(pid)
             self._reselect_fast(view, added, removed)
             self._check_fresh_entries(view, base_added, dense_added)
@@ -255,7 +259,6 @@ class DynamicLightSpanner:
 
     def _reselect_fast(self, view: Neighbourhood, added: list[Edge], removed: list[Edge]) -> None:
         one = 1.0 + self.eps
-        dstar = self.estimates.dstar
         snap = a, b, weights, (u, v), _ = self.base.snapshot(view.pos)
         scale = np.frexp(weights)[1]  # scale_of, bit for bit
         reach = np.maximum(view.to_center[a], view.to_center[b])
@@ -267,12 +270,11 @@ class DynamicLightSpanner:
             if not len(pairs):
                 continue
             self.counters["examined"] += len(pairs)
-            try:
-                found = np.array([dstar[e] for e in zip(u[pairs].tolist(), v[pairs].tolist())])
-            except KeyError as missing:
-                raise RuntimeError(
-                    f"missing separation estimate for pair {missing.args[0]}"
-                ) from None
+            found = self.dense.dstar[a[pairs], b[pairs]]
+            missing = np.flatnonzero(np.isnan(found))
+            if len(missing):
+                k = pairs[missing[0]]
+                raise RuntimeError(f"missing separation estimate for pair {(int(u[k]), int(v[k]))}")
             self._settle(snap, pairs, found <= one * weights[pairs], added, removed)
 
     def _update_estimates(self, view: Neighbourhood, i: int, snap: tuple) -> None:
@@ -293,20 +295,20 @@ class DynamicLightSpanner:
         row = np.full(len(view.ids), -1)
         row[sources] = np.arange(len(sources))
         mat = (
-            sparse_dijkstra(graph, directed=False, indices=vertex[sources].tolist())
+            sparse_dijkstra(graph, directed=True, indices=vertex[sources])
             if len(sources)
             else np.empty((0, len(members)))
         )
 
-        def store(table: dict[Edge, float], first: np.ndarray, second: np.ndarray) -> None:
+        def store(table: np.ndarray, first: np.ndarray, second: np.ndarray) -> None:
             at, to = row[first], vertex[second]
             ok = (at >= 0) & (to >= 0)
             values = np.full(len(first), INF)
             values[ok] = mat[at[ok], to[ok]]
-            table.update(zip(view.edges(first, second), values.tolist()))
+            table[first, second] = table[second, first] = values
 
-        store(self.estimates.dlight, *pairs_dl)
-        store(self.estimates.dstar, *pairs_ds)
+        store(self.dense.dlight, *pairs_dl)
+        store(self.dense.dstar, *pairs_ds)
 
     def _build_sketch(
         self, view: Neighbourhood, at_scale: int, snap: tuple
@@ -317,8 +319,9 @@ class DynamicLightSpanner:
         positions in ascending order.  Pairs in the middle distance band
         contribute an edge exactly when they are in the output, read from
         the output flags of ``snap`` (``base.snapshot(view.pos)``); pairs in
-        the low band always
-        contribute an edge, weighted by their cached output-graph distance.
+        the low band always contribute an edge, weighted by their cached
+        output-graph distance.  The graph is a symmetric CSR matrix that
+        holds both directions of each edge, in sorted column order per row.
         """
         iprime = max(0, scale_of(self.eps_small * float(1 << at_scale)) - 1)
         level = self.hierarchy.levels[iprime]
@@ -328,8 +331,7 @@ class DynamicLightSpanner:
         n = len(members)
         vertex = np.full(len(ids), -1)
         vertex[members] = np.arange(n)
-        # middle band: the output edges among the vertices; view positions
-        # follow id order, so a < b and each edge lands above the diagonal
+        # middle band: the output edges among the vertices
         a, b, weights, _, keep = snap
         mid = np.flatnonzero(
             self.base.out[keep]
@@ -338,24 +340,25 @@ class DynamicLightSpanner:
             & (2.0 ** (at_scale - 3) <= weights)
             & (weights < 2.0 ** (at_scale - 1))
         )
-        # low band: every pair, weighted by its output-distance estimate
+        # low band: every pair, weighted by its output-distance estimate;
+        # the bands are disjoint by distance, so no pair gives two entries
         m = view.dist[np.ix_(members, members)]
         rows2, cols2 = np.nonzero(np.triu(m < 2.0 ** (at_scale - 3), 1))
-        sketch_ids = [ids[k] for k in members.tolist()]
-        dlight = self.estimates.dlight
-        estimated: list[float] = []
-        for ja, jb in zip(rows2.tolist(), cols2.tolist()):
-            pair = (sketch_ids[ja], sketch_ids[jb])
-            value = dlight.get(pair)
-            if value is None:
-                raise RuntimeError(f"missing output-distance estimate for pair {pair}")
-            estimated.append(value)
-        w2 = np.array(estimated, dtype=float)
+        w2 = self.dense.dlight[members[rows2], members[cols2]]
+        missing = np.flatnonzero(np.isnan(w2))
+        if len(missing):
+            pair = (ids[members[rows2[missing[0]]]], ids[members[cols2[missing[0]]]])
+            raise RuntimeError(f"missing output-distance estimate for pair {pair}")
         low = ~np.isinf(w2)
-        rows = np.concatenate([vertex[a[mid]], rows2[low]])
-        cols = np.concatenate([vertex[b[mid]], cols2[low]])
-        data = np.concatenate([weights[mid], w2[low]])
-        return members, csr_matrix((data, (rows, cols)), shape=(n, n))
+        # both directions of each edge, sorted by (tail, head)
+        first = np.concatenate([vertex[a[mid]], rows2[low]])
+        second = np.concatenate([vertex[b[mid]], cols2[low]])
+        tails, heads = np.concatenate([first, second]), np.concatenate([second, first])
+        order = np.argsort(tails * n + heads)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+        data = np.tile(np.concatenate([weights[mid], w2[low]]), 2)[order]
+        return members, csr_matrix((data, heads[order], indptr), shape=(n, n))
 
     def estimate(self, u: int, v: int, at_scale: int, center: int) -> float:
         """Coarse distance between u and v read off one sketch graph; fast
@@ -367,7 +370,7 @@ class DynamicLightSpanner:
         vertex = {view.ids[k]: j for j, k in enumerate(members.tolist())}
         if u not in vertex or v not in vertex:
             return INF
-        row = sparse_dijkstra(graph, directed=False, indices=[vertex[u]])[0]
+        row = sparse_dijkstra(graph, directed=True, indices=[vertex[u]])[0]
         return float(row[vertex[v]])
 
     def _check_fresh_entries(
@@ -375,14 +378,19 @@ class DynamicLightSpanner:
     ) -> None:
         """Raise unless every pair that joined a pool got its estimates; the
         dense pool's new pairs are all in the update's view."""
-        for e in base_added:
-            if e not in self.estimates.dstar:
-                raise RuntimeError(f"pool edge {e} has no separation estimate")
-        for e in dense_added:
-            if e not in self.estimates.dstar:
-                raise RuntimeError(f"dense edge {e} has no separation estimate")
-            if view.scale(*e) <= self.top - 2 and e not in self.estimates.dlight:
-                raise RuntimeError(f"dense edge {e} has no distance estimate")
+        dense = self.dense
+        for kind, pairs in (("pool", base_added), ("dense", dense_added)):
+            if not pairs:
+                continue
+            a, b = np.array([(view.pos[u], view.pos[v]) for u, v in pairs]).T
+            # a dense pair's dlight entry is written two scales above its own
+            due = (kind == "dense") & (np.frexp(dense.dist[a, b])[1] <= self.top - 2)
+            for what, unset in (
+                ("separation", np.isnan(dense.dstar[a, b])),
+                ("distance", due & np.isnan(dense.dlight[a, b])),
+            ):
+                if unset.any():
+                    raise RuntimeError(f"{kind} edge {pairs[int(np.argmax(unset))]} has no {what} estimate")
 
     # -- queries ---------------------------------------------------------------
 

@@ -24,14 +24,18 @@ queries, the new weights and the ``AllPairs`` row of an update's own point
 all read the one row the hierarchy measured for it.
 
 ``AllPairs`` stands for the pool holding every active pair, as one table
-of their distances kept across updates, and ``Neighbourhood`` is that
-table seen from one point: the fast update path builds one per update and
-reads every scale's pairs from it.
+of their distances kept across updates, with the fast path's estimate
+tables aligned to it, and ``Neighbourhood`` is that table seen from one
+point: the fast update path builds one per update and reads every scale's
+pairs from it.  ``PairTable`` reads an aligned table as a mapping keyed by
+id pair.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -193,9 +197,6 @@ class Neighbourhood:
         self._pair_scale = np.frexp(self.dist[self._first, self._second])[1]
         self._pair_reach = np.maximum(self.to_center[self._first], self.to_center[self._second])
 
-    def scale(self, u: int, v: int) -> int:
-        return scale_of(float(self.dist[self.pos[u], self.pos[v]]))
-
     def pairs(self, ascale: int, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Positions (a, b), a < b, of the pairs of scale ``ascale`` with
         both points within r of the center, in sorted order."""
@@ -205,6 +206,20 @@ class Neighbourhood:
     def edges(self, first: np.ndarray, second: np.ndarray) -> list[Edge]:
         ids = self.ids
         return [(ids[a], ids[b]) for a, b in zip(first.tolist(), second.tolist())]
+
+
+def _resized(table: np.ndarray, k: int, grow: bool) -> np.ndarray:
+    """A copy of the square ``table`` with row and column k inserted (left
+    unset) or deleted, made as one allocation and four slice copies."""
+    n = len(table) + (1 if grow else -1)
+    # the rows and columns past k move down by one on insert, up on delete
+    src, dst = (k, k + 1) if grow else (k + 1, k)
+    out = np.empty((n, n))
+    out[:k, :k] = table[:k, :k]
+    out[:k, dst:] = table[:k, src:]
+    out[dst:, :k] = table[src:, :k]
+    out[dst:, dst:] = table[src:, src:]
+    return out
 
 
 class AllPairs:
@@ -217,6 +232,11 @@ class AllPairs:
     these pairs, since level 0 is the whole active set and every active
     pair is closer than phi.  Only the fast update path calls ``sync``;
     ``edge_count`` counts the active pairs.
+
+    ``dstar`` and ``dlight`` are the fast path's estimate tables, symmetric
+    and aligned with ``dist``: NaN marks a pair with no estimate written
+    since its later point joined, and the diagonal.  ``sync`` gives a new
+    point a NaN row and column, and drops a deleted point's with it.
     """
 
     def __init__(self, hierarchy: NetHierarchy):
@@ -224,6 +244,8 @@ class AllPairs:
         self.ids: list[int] = []
         self.pos: dict[int, int] = {}
         self.dist = np.zeros((0, 0))
+        self.dstar = np.zeros((0, 0))
+        self.dlight = np.zeros((0, 0))
 
     def sync(self, changeset: list[Change]) -> tuple[list[Edge], list[Edge]]:
         """Add a measured row for each point that joined level 0 and drop the
@@ -235,16 +257,17 @@ class AllPairs:
             if level != 0:
                 continue
             ids = self.ids
+            k = bisect_left(ids, pid) if was_added else self.pos[pid]
+            self.dist, self.dstar, self.dlight = (
+                _resized(table, k, was_added) for table in (self.dist, self.dstar, self.dlight)
+            )
             if was_added:
-                k = bisect_left(ids, pid)
-                row = [dist(*_pair(pid, y)) for y in ids]
-                grown = np.insert(self.dist, k, row, axis=0)
-                self.dist = np.insert(grown, k, np.insert(row, k, 0.0), axis=1)
+                row = np.insert([dist(*_pair(pid, y)) for y in ids], k, 0.0)
+                for table, fill in ((self.dist, row), (self.dstar, np.nan), (self.dlight, np.nan)):
+                    table[k] = table[:, k] = fill
                 self.ids = ids[:k] + [pid] + ids[k:]
                 added += [_pair(pid, y) for y in ids]
             else:
-                k = self.pos[pid]
-                self.dist = np.delete(np.delete(self.dist, k, axis=0), k, axis=1)
                 self.ids = ids[:k] + ids[k + 1:]
                 removed += [_pair(pid, y) for y in self.ids]
             self.pos = {y: j for j, y in enumerate(self.ids)}
@@ -258,3 +281,32 @@ class AllPairs:
         """All active pairs of scale ``ascale`` with both endpoints within r of center."""
         view = Neighbourhood(self, center)
         return view.edges(*view.pairs(ascale, r))
+
+
+class PairTable(Mapping):
+    """Read-only mapping ``(u, v) -> value``, u < v, over one of the tables
+    of an ``AllPairs`` (named ``name``) that marks unset pairs with NaN; it
+    holds the set pairs, and reads the pool's current table on each call."""
+
+    def __init__(self, pool: AllPairs, name: str):
+        self.pool = pool
+        self.name = name
+
+    def __getitem__(self, pair: Edge) -> float:
+        u, v = pair
+        pos = self.pool.pos
+        if u < v and u in pos and v in pos:
+            value = float(getattr(self.pool, self.name)[pos[u], pos[v]])
+            if not math.isnan(value):
+                return value
+        raise KeyError(pair)
+
+    def __iter__(self) -> Iterator[Edge]:
+        ids = self.pool.ids
+        # row-major over the upper triangle, so in sorted (u, v) order
+        first, second = np.nonzero(np.triu(~np.isnan(getattr(self.pool, self.name)), 1))
+        return ((ids[a], ids[b]) for a, b in zip(first.tolist(), second.tolist()))
+
+    def __len__(self) -> int:
+        # symmetric, with a NaN diagonal: each set pair is counted twice
+        return int(np.count_nonzero(~np.isnan(getattr(self.pool, self.name)))) // 2

@@ -364,14 +364,52 @@ def test_fast_random_mixed_run_stays_clean():
             assert structure.dense.edges_at_scale_in_ball(i, center, r) == want
 
 
+def test_estimate_tables_stay_aligned_with_the_distance_table():
+    space = MetricSpace(1, 64.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="fast")
+    dense = structure.dense
+    # the pairs each refresh writes, recorded the direct way: every pair
+    # of the refreshed scales within the refresh radius
+    written = {"dstar": set(), "dlight": set()}
+    refresh = structure._update_estimates
+
+    def recording(view, i, snap):
+        r = 4.0 * (1 << i)
+        written["dstar"].update(view.edges(*view.pairs(i, r)))
+        if i >= 2:
+            written["dlight"].update(view.edges(*view.pairs(i - 2, r)))
+        refresh(view, i, snap)
+
+    structure._update_estimates = recording
+    # below the smallest id, above the largest, between two, then deletes
+    # from the middle
+    ops = [(20, 0.0), (40, 9.0), (5, 3.0), (60, 14.0), (30, 22.0), (40, None), (20, None)]
+    for pid, x in ops:
+        if x is None:
+            structure.delete(pid)
+            for pairs in written.values():
+                pairs -= {e for e in pairs if pid in e}
+        else:
+            structure.insert(pid, (x,))
+        n = len(space.active)
+        assert dense.ids == sorted(space.active)
+        for name in ("dstar", "dlight"):
+            table = getattr(dense, name)
+            assert table.shape == (n, n)
+            assert np.array_equal(table, table.T, equal_nan=True)
+            assert np.isnan(np.diag(table)).all()
+            view = getattr(structure.estimates, name)
+            assert list(view) == sorted(written[name]) and len(view) == len(written[name])
+    assert written["dstar"] and written["dlight"]
+
+
 def test_estimate_refresh_skips_output_loop_below_scale_two():
     structure, _ = build([0, 1, 2, 3], 8.0, mode="fast")
     sentinel = 123.0
     dstar, dlight = structure.estimates.dstar, structure.estimates.dlight
     before = dict(dstar)
-    for table in (dstar, dlight):
-        for e in table:
-            table[e] = sentinel
+    for table in (structure.dense.dstar, structure.dense.dlight):
+        table[~np.isnan(table)] = sentinel
     view = structure._view(0)
     snap = structure.base.snapshot(view.pos)
     structure._update_estimates(view, 0, snap)
@@ -417,7 +455,7 @@ def test_missing_estimate_is_a_hard_error():
     # the pair (0, 1) sits inside the scale-1 consult ball of the new
     # point but outside its refresh ball, so a lost entry must surface
     structure, _ = build([0.0, 1.0], 16.0, mode="fast")
-    structure.estimates.dstar.clear()
+    structure.dense.dstar[:] = np.nan
     with pytest.raises(RuntimeError, match="separation estimate"):
         structure.insert(2, (11.0,))
 
@@ -427,7 +465,8 @@ def test_fresh_pool_edge_without_estimate_is_a_hard_error():
     edge = structure.base_edges()[0]
     view = structure._view(2)
     structure._check_fresh_entries(view, [edge], [edge])
-    del structure.estimates.dstar[edge]
+    a, b = view.pos[edge[0]], view.pos[edge[1]]
+    structure.dense.dstar[a, b] = structure.dense.dstar[b, a] = np.nan
     with pytest.raises(RuntimeError, match="separation estimate"):
         structure._check_fresh_entries(view, [edge], [])
     with pytest.raises(RuntimeError, match="separation estimate"):
@@ -460,8 +499,9 @@ def _reference_sketch(structure, center, at_scale):
                     rows.append(ka)
                     cols.append(kb)
                     data.append(value)
-    graph = csr_matrix((data, (rows, cols)), shape=(len(ids), len(ids)))
-    return ids, graph, np.array([len(data) - low, low])
+    want = csr_matrix((data, (rows, cols)), shape=(len(ids), len(ids)))
+    # the structure's sketch holds both directions of each edge
+    return ids, (want + want.T).tocsr(), np.array([len(data) - low, low])
 
 
 def _assert_sketches_match_reference(structure, centers):
@@ -528,6 +568,37 @@ def test_sketch_matches_reference_on_a_matrix_metric():
             structure.delete(pid - 3)
             bands = bands + _assert_sketches_match_reference(structure, [pid, pid - 3])
     assert bands.all()
+
+
+def test_sketch_graph_is_symmetric_with_one_entry_per_direction():
+    rng = random.Random(31)
+    space = MetricSpace(2, 128.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="fast")
+    placed = []
+    for pid in range(16):
+        while True:
+            c = (rng.uniform(0, 85), rng.uniform(0, 85))
+            if all(math.dist(c, p) >= 1.0 for p in placed):
+                break
+        placed.append(c)
+        structure.insert(pid, c)
+    checked = 0
+    for center in (0, 9):
+        view = structure._view(center)
+        snap = structure.base.snapshot(view.pos)
+        for i in range(structure.top + 1):
+            members, graph = structure._build_sketch(view, i, snap)
+            _, _, sizes = _reference_sketch(structure, center, i)
+            assert (graph != graph.T).nnz == 0
+            # one entry per direction of each band edge, none summed
+            assert graph.nnz == 2 * sizes.sum()
+            ids = [view.ids[k] for k in members.tolist()]
+            for u, v in zip(ids, ids[1:] + ids[:1]):
+                # equal up to rounding: a path's sum runs from its source
+                there, back = structure.estimate(u, v, i, center), structure.estimate(v, u, i, center)
+                assert math.isclose(there, back, rel_tol=1e-12)
+            checked += graph.nnz
+    assert checked
 
 
 def test_fast_run_deletes_down_to_nothing():

@@ -357,24 +357,29 @@ def test_sweep_estimate_store_and_corruption():
     for pid in range(4):
         structure.insert(pid, (float(pid),))
     assert sweep_estimate_store(structure) == []
-    dstar_table, dlight_table = structure.estimates.dstar, structure.estimates.dlight
-    key = sorted(dstar_table)[0]
-    dstar_table[key] = 0.0
+    dense = structure.dense
+
+    def put(table, pair, value):
+        a, b = dense.pos[pair[0]], dense.pos[pair[1]]
+        table[a, b] = table[b, a] = value
+
+    key = sorted(structure.estimates.dstar)[0]
+    put(dense.dstar, key, 0.0)
     failures = sweep_estimate_store(structure)
     assert len(failures) == 1 and failures[0].startswith(f"dstar {key[0]} {key[1]}")
-    del dstar_table[key]
+    put(dense.dstar, key, math.nan)
     # the factor allowed for a close pair follows from its scale alone
     (u, v), s = (0, 2), 2
     exact = dstar(space, structure.light_edges(), u, v)
     assert scale_of(space.distance(u, v)) == s and exact <= 2.0 * (1 << s)
     alpha = 1.0 + KAPPA * s * structure.eps_small
-    dstar_table[(u, v)] = alpha * exact * (1.0 + 1e-6)
+    put(dense.dstar, (u, v), alpha * exact * (1.0 + 1e-6))
     failures = sweep_estimate_store(structure)
     assert len(failures) == 1 and failures[0].startswith(f"dstar {u} {v}")
-    dstar_table[(u, v)] = alpha * exact
+    put(dense.dstar, (u, v), alpha * exact)
     assert sweep_estimate_store(structure) == []
-    key = sorted(dlight_table)[0]
-    dlight_table[key] = 0.0
+    key = sorted(structure.estimates.dlight)[0]
+    put(dense.dlight, key, 0.0)
     failures = sweep_estimate_store(structure)
     assert len(failures) == 1 and failures[0].startswith(f"dlight {key[0]} {key[1]}")
 
