@@ -32,16 +32,23 @@ where each is measured once per update:
   once, when its later point joins.  Each update reads only each active
   point's distance to the updated one (a ``Neighbourhood``), and every
   scale reads its refreshed pairs and its sketch's vertices and distances
-  from that one view.  The pool edges to decide come, as in exact mode,
-  from one snapshot of the candidate pool over the view's points, masked
-  per scale, and a sketch reads the output flags of that snapshot's edges.
-  An estimate is a plain float, since its pair's scale fixes its
-  approximation factor.  The two estimate tables (``AllPairs.dstar`` and
-  ``AllPairs.dlight``) are symmetric arrays aligned with the distance
-  table, NaN where no estimate was written: a refresh stores with two
-  fancy-index writes and reselection reads with one gather.  A sketch is a
-  symmetric CSR graph holding both directions of each edge, searched as a
-  directed graph.
+  from that one view.  The view holds the update's pair frame, every pair
+  of its points once in row-major order with its distance, and a mask
+  over its points for each net level a sketch reads, built once per
+  update.  The pool edges to decide come, as in exact mode, from one
+  snapshot of the candidate pool over the view's points, masked per
+  scale.  A sketch picks its vertices with one mask over the view's
+  points, its low band with one mask over the frame, and its middle band
+  (output edges) with one mask over the snapshot.  An estimate is a plain
+  float, since its pair's scale fixes its approximation factor.  The two
+  estimate tables (``AllPairs.dstar`` and ``AllPairs.dlight``) are
+  symmetric arrays aligned with the distance table, NaN where no estimate
+  was written: a refresh stores with two fancy-index writes and
+  reselection reads with one gather.
+
+Both modes search CSR graphs built by one helper (``_symmetric_csr``): both
+directions of each edge, each row sorted by head, searched as a directed
+graph.
 
 Inserts are refused by the hierarchy, before any structure changes,
 unless the new point is at distance in [1, phi) from every active point;
@@ -71,6 +78,23 @@ INF = math.inf
 # headroom factor between the two candidate pools; the auxiliary pool's
 # eps is the output eps divided by 3 * KAPPA * log2(phi)
 KAPPA = 342
+
+
+def _symmetric_csr(
+    first: np.ndarray, second: np.ndarray, weights: np.ndarray, n: int
+) -> csr_matrix:
+    """The graph on vertices 0..n-1 with an edge of weight ``weights[k]``
+    between ``first[k]`` and ``second[k]``, as a CSR matrix that holds both
+    directions of each edge, each row sorted by head, to be searched as a
+    directed graph.  The indices are 32-bit, scipy's own index type, so
+    neither the constructor nor the search converts them."""
+    tails = np.concatenate([first, second])
+    heads = np.concatenate([second, first])
+    order = np.argsort(tails * n + heads)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    data = np.concatenate([weights, weights])[order]
+    return csr_matrix((data, heads[order].astype(np.int32), indptr), shape=(n, n))
 
 
 class Estimates(NamedTuple):
@@ -217,12 +241,7 @@ class DynamicLightSpanner:
             # the verdicts of this update's lower scales already applied, as
             # a CSR graph that holds both directions of each edge
             below = np.flatnonzero(self.base.out[keep] & (scale < i) & (a < k) & (b < k))
-            tails = np.concatenate([a[below], b[below]])
-            order = np.argsort(tails)
-            indptr = np.zeros(k + 1, dtype=np.intp)
-            np.cumsum(np.bincount(tails, minlength=k), out=indptr[1:])
-            heads = np.concatenate([b[below], a[below]])[order]
-            graph = csr_matrix((np.tile(weights[below], 2)[order], heads, indptr), shape=(k, k))
+            graph = _symmetric_csr(a[below], b[below], weights[below], k)
             # each pair is searched from its smaller endpoint u, always the
             # same one: rounded path sums can depend on the direction
             sources = np.unique(a[pairs])
@@ -287,13 +306,15 @@ class DynamicLightSpanner:
         if not len(pairs_dl[0]) and not len(pairs_ds[0]):
             return
         members, graph = self._build_sketch(view, i, snap)
-        # view position -> sketch vertex, and -> Dijkstra row, or -1
-        vertex = np.full(len(view.ids), -1)
-        vertex[members] = np.arange(len(members))
-        sources = np.union1d(pairs_dl[0], pairs_ds[0])
-        sources = sources[vertex[sources] >= 0]
-        row = np.full(len(view.ids), -1)
-        row[sources] = np.arange(len(sources))
+        # masks over the view's positions, and each position's sketch vertex
+        # and Dijkstra row where the mask holds
+        member = np.zeros(len(view.ids), dtype=bool)
+        member[members] = True
+        source = np.zeros(len(view.ids), dtype=bool)
+        source[pairs_dl[0]] = source[pairs_ds[0]] = True
+        source &= member
+        vertex, row = np.cumsum(member) - 1, np.cumsum(source) - 1
+        sources = np.flatnonzero(source)
         mat = (
             sparse_dijkstra(graph, directed=True, indices=vertex[sources])
             if len(sources)
@@ -301,10 +322,9 @@ class DynamicLightSpanner:
         )
 
         def store(table: np.ndarray, first: np.ndarray, second: np.ndarray) -> None:
-            at, to = row[first], vertex[second]
-            ok = (at >= 0) & (to >= 0)
+            ok = source[first] & member[second]
             values = np.full(len(first), INF)
-            values[ok] = mat[at[ok], to[ok]]
+            values[ok] = mat[row[first[ok]], vertex[second[ok]]]
             table[first, second] = table[second, first] = values
 
         store(self.dense.dlight, *pairs_dl)
@@ -315,50 +335,49 @@ class DynamicLightSpanner:
     ) -> tuple[np.ndarray, csr_matrix]:
         """Small graph whose distances coarsely track output-graph distances.
 
-        Vertices are net points near the view's center, returned as view
-        positions in ascending order.  Pairs in the middle distance band
-        contribute an edge exactly when they are in the output, read from
-        the output flags of ``snap`` (``base.snapshot(view.pos)``); pairs in
-        the low band always contribute an edge, weighted by their cached
-        output-graph distance.  The graph is a symmetric CSR matrix that
-        holds both directions of each edge, in sorted column order per row.
+        Vertices are the points of net level ``iprime`` within
+        ``7 * 2**at_scale`` of the view's center, returned as view positions
+        in ascending order: one mask over the positions, from the view's
+        mask of that level.  Pairs in the middle distance band contribute an
+        edge exactly when they are in the output, read from the output flags
+        of ``snap`` (``base.snapshot(view.pos)``) with one mask over it;
+        pairs in the low band always contribute an edge, weighted by their
+        cached output-graph distance, picked with one mask over the view's
+        pair frame.  The graph is a symmetric CSR matrix that holds both
+        directions of each edge, in sorted column order per row.
         """
         iprime = max(0, scale_of(self.eps_small * float(1 << at_scale)) - 1)
-        level = self.hierarchy.levels[iprime]
-        ids = view.ids
-        near = np.flatnonzero(view.to_center <= 7.0 * (1 << at_scale))
-        members = np.array([k for k in near.tolist() if ids[k] in level], dtype=np.intp)
-        n = len(members)
-        vertex = np.full(len(ids), -1)
-        vertex[members] = np.arange(n)
+        member = view.in_level(iprime) & (view.to_center <= 7.0 * (1 << at_scale))
+        members = np.flatnonzero(member)
+        vertex = np.cumsum(member) - 1  # view position -> sketch vertex
         # middle band: the output edges among the vertices
         a, b, weights, _, keep = snap
         mid = np.flatnonzero(
             self.base.out[keep]
-            & (vertex[a] >= 0)
-            & (vertex[b] >= 0)
+            & member[a]
+            & member[b]
             & (2.0 ** (at_scale - 3) <= weights)
             & (weights < 2.0 ** (at_scale - 1))
         )
         # low band: every pair, weighted by its output-distance estimate;
         # the bands are disjoint by distance, so no pair gives two entries
-        m = view.dist[np.ix_(members, members)]
-        rows2, cols2 = np.nonzero(np.triu(m < 2.0 ** (at_scale - 3), 1))
-        w2 = self.dense.dlight[members[rows2], members[cols2]]
+        low = np.flatnonzero(view.pair_dist < 2.0 ** (at_scale - 3))
+        low = low[member[view.first[low]] & member[view.second[low]]]
+        first, second = view.first[low], view.second[low]
+        w2 = self.dense.dlight[first, second]
         missing = np.flatnonzero(np.isnan(w2))
         if len(missing):
-            pair = (ids[members[rows2[missing[0]]]], ids[members[cols2[missing[0]]]])
+            k = missing[0]
+            pair = (view.ids[first[k]], view.ids[second[k]])
             raise RuntimeError(f"missing output-distance estimate for pair {pair}")
-        low = ~np.isinf(w2)
-        # both directions of each edge, sorted by (tail, head)
-        first = np.concatenate([vertex[a[mid]], rows2[low]])
-        second = np.concatenate([vertex[b[mid]], cols2[low]])
-        tails, heads = np.concatenate([first, second]), np.concatenate([second, first])
-        order = np.argsort(tails * n + heads)
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
-        data = np.tile(np.concatenate([weights[mid], w2[low]]), 2)[order]
-        return members, csr_matrix((data, heads[order], indptr), shape=(n, n))
+        fin = ~np.isinf(w2)
+        graph = _symmetric_csr(
+            np.concatenate([vertex[a[mid]], vertex[first[fin]]]),
+            np.concatenate([vertex[b[mid]], vertex[second[fin]]]),
+            np.concatenate([weights[mid], w2[fin]]),
+            len(members),
+        )
+        return members, graph
 
     def estimate(self, u: int, v: int, at_scale: int, center: int) -> float:
         """Coarse distance between u and v read off one sketch graph; fast

@@ -26,8 +26,9 @@ all read the one row the hierarchy measured for it.
 ``AllPairs`` stands for the pool holding every active pair, as one table
 of their distances kept across updates, with the fast path's estimate
 tables aligned to it, and ``Neighbourhood`` is that table seen from one
-point: the fast update path builds one per update and reads every scale's
-pairs from it.  ``PairTable`` reads an aligned table as a mapping keyed by
+point, with its pairs as one frame of row-major arrays: the fast update
+path builds one per update and reads every scale's pairs and sketches
+from it.  ``PairTable`` reads an aligned table as a mapping keyed by
 id pair.
 """
 
@@ -76,37 +77,56 @@ class NetSpanner:
 
         Must be called after the hierarchy mutation that produced the
         changeset, before any further mutation.  Raises ``ValueError``,
-        changing nothing, if a removal event names an active point.
+        changing nothing, if a removal event names an active point.  The
+        removed points' edges leave first, then the new edges of all
+        addition events join the columns at once, at their end.
         """
         hier = self.hierarchy
         dist = hier.distance
         for level, pid, was_added in changeset:
             if not was_added and pid in hier.levels[0]:
                 raise ValueError(f"point {pid} left level {level} but is still active")
-        added: list[Edge] = []
+        # an addition's ball never returns a removed point, since removed
+        # points are inactive in the final state, so removals can go first
         removed: list[Edge] = []
+        gone = self._touching({pid for _, pid, was_added in changeset if not was_added})
+        if gone.any():
+            removed += zip(self.u[gone].tolist(), self.v[gone].tolist())
+            keep = ~gone
+            self.u, self.v, self.w, self.out = self.u[keep], self.v[keep], self.w[keep], self.out[keep]
+        # each joining point's partners: the other ends of its edges, then
+        # of the edges this sync adds
+        known: dict[int, set[int]] = {pid: {pid} for _, pid, was_added in changeset if was_added}
+        mine = self._touching(known)
+        for u, v in zip(self.u[mine].tolist(), self.v[mine].tolist()):
+            if u in known:
+                known[u].add(v)
+            if v in known:
+                known[v].add(u)
+        added: list[Edge] = []
         for level, pid, was_added in changeset:
-            mine = (self.u == pid) | (self.v == pid)
-            if was_added:
-                known = {pid}.union(self.u[mine].tolist(), self.v[mine].tolist())
-                new = []
-                for y in hier.ball(level, pid, self.c * float(1 << level)):
-                    if y not in known:
-                        known.add(y)
-                        new.append(_pair(pid, y))
-                if new:
-                    self.u = np.concatenate([self.u, [u for u, _ in new]])
-                    self.v = np.concatenate([self.v, [v for _, v in new]])
-                    self.w = np.concatenate([self.w, [dist(u, v) for u, v in new]])
-                    self.out = np.concatenate([self.out, np.zeros(len(new), dtype=bool)])
-                    added += new
-            elif mine.any():
-                removed += zip(self.u[mine].tolist(), self.v[mine].tolist())
-                keep = ~mine
-                self.u, self.v, self.w, self.out = (
-                    self.u[keep], self.v[keep], self.w[keep], self.out[keep]
-                )
+            if not was_added:
+                continue
+            for y in hier.ball(level, pid, self.c * float(1 << level)):
+                if y not in known[pid]:
+                    known[pid].add(y)
+                    if y in known:
+                        known[y].add(pid)
+                    added.append(_pair(pid, y))
+        if added:
+            # the new edges join at the end, with one copy per column
+            self.u = np.concatenate([self.u, [u for u, _ in added]])
+            self.v = np.concatenate([self.v, [v for _, v in added]])
+            self.w = np.concatenate([self.w, [dist(u, v) for u, v in added]])
+            self.out = np.concatenate([self.out, np.zeros(len(added), dtype=bool)])
         return (sorted(added), sorted(removed))
+
+    def _touching(self, points) -> np.ndarray:
+        """Mask over the columns: the edge has an endpoint in ``points``."""
+        mask = np.zeros(len(self.u), dtype=bool)
+        for pid in points:
+            mask |= (self.u == pid) | (self.v == pid)
+        return mask
 
     def rebuild(self) -> None:
         """Recompute the edge set from scratch, with no edge in the output
@@ -179,29 +199,52 @@ class NetSpanner:
 
 
 class Neighbourhood:
-    """The pool's distance table seen from one center.
+    """The pool's distance table seen from one center, and its pair frame.
 
     ``ids``, ``pos`` and ``dist`` are the ``AllPairs`` table's own, so no
     pair is measured here; ``to_center[k]`` is
     ``space.distance(center, ids[k])``, read through the hierarchy's
     ``distance``, so an update's own point is measured at most once.
+
+    The frame is every pair of positions a < b once, in row-major order, so
+    in sorted (u, v) order: ``first[f]``, ``second[f]`` and their distance
+    ``pair_dist[f]``.  A reader selects pairs with one mask over the frame,
+    and selects points with masks over the positions, such as
+    ``in_level(i)``, built at most once per view for each level.
     """
 
     def __init__(self, pool: AllPairs, center: int):
-        dist = pool.hierarchy.distance
+        hier = pool.hierarchy
+        dist = hier.distance
+        self.levels = hier.levels
         self.ids, self.pos, self.dist = pool.ids, pool.pos, pool.dist
         self.to_center = np.array([dist(center, y) for y in self.ids], dtype=float)
-        # every pair a < b once, in row-major order, so in sorted (u, v) order
-        self._first, self._second = np.triu_indices(len(self.ids), 1)
+        self.first, self.second = np.triu_indices(len(self.ids), 1)
+        self.pair_dist = self.dist[self.first, self.second]
         # frexp's exponent is scale_of, bit for bit
-        self._pair_scale = np.frexp(self.dist[self._first, self._second])[1]
-        self._pair_reach = np.maximum(self.to_center[self._first], self.to_center[self._second])
+        self._pair_scale = np.frexp(self.pair_dist)[1]
+        self._pair_reach = np.maximum(self.to_center[self.first], self.to_center[self.second])
+        self._at_scale: dict[int, np.ndarray] = {}
+        self._in_level: dict[int, np.ndarray] = {}
 
     def pairs(self, ascale: int, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Positions (a, b), a < b, of the pairs of scale ``ascale`` with
         both points within r of the center, in sorted order."""
-        keep = np.flatnonzero((self._pair_scale == ascale) & (self._pair_reach <= r))
-        return self._first[keep], self._second[keep]
+        at = self._at_scale.get(ascale)
+        if at is None:
+            at = self._at_scale[ascale] = np.flatnonzero(self._pair_scale == ascale)
+        keep = at[self._pair_reach[at] <= r]
+        return self.first[keep], self.second[keep]
+
+    def in_level(self, level: int) -> np.ndarray:
+        """Mask over the positions: ``ids[k]`` is in hierarchy level ``level``."""
+        mask = self._in_level.get(level)
+        if mask is None:
+            members = self.levels[level]
+            mask = self._in_level[level] = np.fromiter(
+                (y in members for y in self.ids), dtype=bool, count=len(self.ids)
+            )
+        return mask
 
     def edges(self, first: np.ndarray, second: np.ndarray) -> list[Edge]:
         ids = self.ids

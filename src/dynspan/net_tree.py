@@ -7,17 +7,19 @@ the whole active set, and levels nest: level i is contained in level i-1.
 
 Each member keeps a per-level neighbor list of the other members within
 4 * 2**i. That reaches every member's covering parent (within 2 * 2**i of it,
-one level up), which is all that queries and updates need: ball queries
-never scan a whole level, they descend from the top populated level through
-these lists, shrinking a candidate set as they go, and are exact for any
-radius.
+one level up), which is all that updates need, and it lets a ball query
+descend from the top populated level through these lists, shrinking a
+candidate set as it goes, exact for any radius.
 
 Every distance an update needs from its own point has one home: an insert
 or delete starts a row for that point, and ``distance`` measures each pair
 with it once, into the row, for every later reader in the same update (the
 net, both candidate pools and the reselection).  An insert measures its row
 over the whole active set before it changes anything, and refuses the point
-unless every distance lies in ``[1, phi)``.
+unless every distance lies in ``[1, phi)``.  Once an insert has measured
+its row in full, that row holds the distance to every other member of every
+level, so a ball query around the inserted point filters the level by the
+row and descends nowhere; every other ball query descends.
 """
 from __future__ import annotations
 
@@ -33,9 +35,11 @@ class NetHierarchy:
         # neighbors[i][x] = set of y in levels[i], y != x, with d(x, y) <= list_radius(i)
         self.neighbors: list[dict[int, set[int]]] = [{} for _ in range(self.top + 1)]
         self.counters = counters if counters is not None else {}
-        # the point of the latest insert or delete, and its distances
+        # the point of the latest insert or delete, and its distances; the
+        # row is complete once an insert has measured every other member
         self.center: int | None = None
         self.row: dict[int, float] = {}
+        self.row_complete = False
 
     def distance(self, u: int, v: int) -> float:
         """``space.distance(u, v)``; a pair with ``center`` is measured once,
@@ -98,7 +102,7 @@ class NetHierarchy:
             raise KeyError(f"point {pid} is not active in the space")
         if pid in self.levels[0]:
             raise KeyError(f"point {pid} already in the hierarchy")
-        self.center, self.row = pid, {}
+        self.center, self.row, self.row_complete = pid, {}, False
         dist, row, phi = self.space.distance, self.row, self.space.phi
         for y in self.levels[0]:
             d = row[y] = dist(pid, y)
@@ -107,6 +111,7 @@ class NetHierarchy:
                     f"point {pid} is at distance {d!r} from point {y}; "
                     f"inserts need distances in [1, {phi:g})"
                 )
+        self.row_complete = True
         join = next(
             (j for j, level in enumerate(self.levels) if any(row[y] < (1 << j) for y in level)),
             self.top + 1,
@@ -128,7 +133,7 @@ class NetHierarchy:
         """
         if pid not in self.levels[0]:
             raise KeyError(f"point {pid} not in the hierarchy")
-        self.center, self.row = pid, {}
+        self.center, self.row, self.row_complete = pid, {}, False
         dist = self.distance
 
         snapshots: list[set[int]] = []
@@ -179,6 +184,10 @@ class NetHierarchy:
         self.counters["ball_queries"] = self.counters.get("ball_queries", 0) + 1
         if r < 0:
             return []
+        if center == self.center and self.row_complete:
+            # the inserted point's row holds every other member
+            row = self.row
+            return [y for y in self.levels[level] if y == center or row[y] <= r]
         # Descend from the highest populated level, keeping at each level j
         # the members within r + 4 * 2**j of the center.  Each set is
         # complete: a member within that radius has its covering parent

@@ -373,6 +373,13 @@ def sweep_estimate_store(structure, slack: float = 1e-9) -> list[str]:
     and its ``dlight`` entry at s + 2, and an entry written at iteration i
     must be within ``1 + KAPPA * i * eps_small``.  Returns one message per
     failing entry.
+
+    The truth is one all-pairs matrix over the output edges, taken scale by
+    scale as in ``check_invariants``: each scale's ``dstar`` entries are
+    judged while the matrix holds exactly the output edges of lower scales,
+    then that scale's output edges are written in and the matrix is relaxed
+    through each of their endpoints.  Every ``dlight`` entry is judged
+    against the matrix closed over all output edges.
     """
     space = structure.space
     light = structure.light_edges()
@@ -381,37 +388,36 @@ def sweep_estimate_store(structure, slack: float = 1e-9) -> list[str]:
     def alpha(i: int) -> float:
         return 1.0 + KAPPA * i * structure.eps_small
 
-    weighted = [(a, b, space.distance(a, b)) for a, b in light]
-    adj = build_adjacency(weighted)
-    full_from: dict[int, dict[int, float]] = {}
+    ids = sorted(space.active)
+    idx = {pid: k for k, pid in enumerate(ids)}
+    n = len(ids)
+    d = np.full((n, n), INF)
+    np.fill_diagonal(d, 0.0)
 
-    by_scale: dict[int, list[tuple[int, int, float]]] = {}
-    for a, b, w in weighted:
-        by_scale.setdefault(scale_of(w), []).append((a, b, w))
+    # every output edge measured once; frexp's exponent is scale_of, bit for bit
+    w = np.array([space.distance(u, v) for u, v in light], dtype=float)
+    scale = np.frexp(w)[1]
+    a = np.array([idx[u] for u, _ in light], dtype=np.intp)
+    b = np.array([idx[v] for _, v in light], dtype=np.intp)
 
-    sub_adj_cache: dict[int, dict[int, list[tuple[int, float]]]] = {}
-
-    def adjacency_below(s: int) -> dict[int, list[tuple[int, float]]]:
-        if s not in sub_adj_cache:
-            sub = [e for t, es in by_scale.items() if t < s for e in es]
-            sub_adj_cache[s] = build_adjacency(sub)
-        return sub_adj_cache[s]
-
-    groups: dict[tuple[int, int], list] = {}
-    for (u, v), est in structure.estimates.dstar.items():
-        s = scale_of(space.distance(u, v))
-        groups.setdefault((s, u), []).append((v, est))
-    for s, u in sorted(groups):
-        dmap = dijkstra(adjacency_below(s), u)
-        for v, est in groups[(s, u)]:
-            exact = dmap.get(v, INF)
+    # dstar entries by scale, each scale's in sorted (u, v) order
+    judged: dict[int, list[tuple[int, int, float]]] = {}
+    for (u, v), est in sorted(structure.estimates.dstar.items()):
+        judged.setdefault(scale_of(space.distance(u, v)), []).append((u, v, est))
+    top = max([*judged, *scale.tolist()], default=-1)
+    for s in range(top + 1):
+        for u, v, est in judged.get(s, ()):
+            exact = float(d[idx[u], idx[v]])
             if not coarse_approx_ok(est, exact, alpha(s), float(1 << s), slack):
                 failures.append(f"dstar {u} {v} est={est!r} exact={exact!r} scale={s}")
+        new = np.flatnonzero(scale == s)
+        np.minimum.at(d, (a[new], b[new]), w[new])
+        np.minimum.at(d, (b[new], a[new]), w[new])
+        for p in np.unique(np.concatenate([a[new], b[new]])).tolist():
+            np.minimum(d, d[:, p, None] + d[None, p, :], out=d)
 
     for (u, v), est in sorted(structure.estimates.dlight.items()):
-        if u not in full_from:
-            full_from[u] = dijkstra(adj, u)
-        exact = full_from[u].get(v, INF)
+        exact = float(d[idx[u], idx[v]])
         s = scale_of(space.distance(u, v))
         base = float(1 << (s + 2))
         if not coarse_approx_ok(est, exact, alpha(s + 2), base, slack):

@@ -570,6 +570,56 @@ def test_sketch_matches_reference_on_a_matrix_metric():
     assert bands.all()
 
 
+def test_sketch_matches_reference_above_net_level_zero():
+    # at phi = 2**17 the top two scales build their sketches on net levels
+    # 1 and 2, so the vertex masks of those levels are exercised
+    rng = random.Random(1)
+    space = MetricSpace(1, 2.0**17)
+    structure = DynamicLightSpanner(space, 1.0, mode="fast")
+    for pid, x in enumerate(list(range(12)) + rng.sample(range(20, 1 << 17), 12)):
+        structure.insert(pid, (float(x),))
+    structure.delete(3)
+    structure.delete(20)
+    levels = structure.hierarchy.levels
+    iprime = [max(0, scale_of(structure.eps_small * float(1 << i)) - 1) for i in (16, 17)]
+    assert iprime == [1, 2] and [len(levels[k]) for k in (0, 1, 2)] == [22, 17, 14]
+    bands = _assert_sketches_match_reference(structure, [0, 5, 23, 3])
+    assert bands.all()
+
+
+def test_stored_estimates_equal_a_fresh_search_of_their_sketch():
+    # after an update around x, the entries that its scale iteration i
+    # refreshed (dstar of scale i, dlight of scale i - 2, within 4 * 2**i of
+    # x) are what the scale-i sketch around x gives now, bit for bit: no
+    # later iteration of the update touches the bands of that sketch
+    rng = random.Random(4)
+    space = MetricSpace(2, 64.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="fast")
+    alive = []
+    compared = 0
+    for pid in range(30):
+        if len(alive) > 12:
+            x = alive.pop(rng.randrange(len(alive)))
+            structure.delete(x)
+        else:
+            c = (rng.uniform(0, 42), rng.uniform(0, 42))
+            if any(math.dist(c, space.coords(y)) < 1.0 for y in alive):
+                continue
+            structure.insert(pid, c)
+            alive.append(pid)
+            x = pid
+        view = structure._view(x)
+        for i in range(structure.top + 1):
+            r = 4.0 * (1 << i)
+            refreshed = [(structure.estimates.dstar, e) for e in view.edges(*view.pairs(i, r))]
+            if i >= 2:
+                refreshed += [(structure.estimates.dlight, e) for e in view.edges(*view.pairs(i - 2, r))]
+            for table, (u, v) in refreshed:
+                assert table[(u, v)] == structure.estimate(u, v, i, x)
+                compared += 1
+    assert compared > 1000
+
+
 def test_sketch_graph_is_symmetric_with_one_entry_per_direction():
     rng = random.Random(31)
     space = MetricSpace(2, 128.0)

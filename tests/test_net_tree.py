@@ -175,6 +175,40 @@ def test_ball_accepts_deleted_center():
     assert hier.ball(0, 0, 5.0) == [1]
 
 
+def test_ball_after_a_refused_insert_descends():
+    # a refused insert leaves its row partial, so a ball around the refused
+    # point (its coordinates stay in the space) must not read from that
+    # row; around an inserted point the full row stands in for the descent
+    space = MetricSpace(1, 64.0)
+    hier = NetHierarchy(space)
+    for pid, x in enumerate([0, 3, 7, 12, 20, 26, 33, 41, 50]):
+        space.add_point(pid, (float(x),))
+        hier.insert(pid)
+
+    def assert_balls_exact(center):
+        for level in range(hier.top + 1):
+            for r in (0.0, 5.0, 13.0, 40.0, 100.0):
+                want = sorted(y for y in hier.levels[level] if space.distance(center, y) <= r)
+                assert sorted(hier.ball(level, center, r)) == want
+
+    # 70 is at distance 70 >= phi from point 0, so the insert stops with
+    # the point's distances to some members unmeasured
+    space.add_point(9, (70.0,))
+    with pytest.raises(ValueError):
+        hier.insert(9)
+    assert hier.center == 9 and not hier.row_complete and len(hier.row) < 9
+    assert_balls_exact(9)
+    space.add_point(10, (16.0,))
+    hier.insert(10)
+    assert hier.center == 10 and hier.row_complete
+    assert_balls_exact(10)
+    assert_balls_exact(9)
+    hier.delete(3)
+    assert not hier.row_complete
+    assert_balls_exact(3)
+    assert_balls_exact(10)
+
+
 def test_ball_query_counter():
     space = line_space([0], 8.0)
     counters = {}

@@ -11,6 +11,7 @@ from dynspan.light_spanner import KAPPA, DynamicLightSpanner
 from dynspan.metric import DistanceMatrixSpace, MetricSpace, scale_of
 from dynspan.net_tree import NetHierarchy
 from dynspan.oracle import (
+    build_adjacency,
     check_invariants,
     coarse_approx_ok,
     dijkstra,
@@ -382,6 +383,96 @@ def test_sweep_estimate_store_and_corruption():
     put(dense.dlight, key, 0.0)
     failures = sweep_estimate_store(structure)
     assert len(failures) == 1 and failures[0].startswith(f"dlight {key[0]} {key[1]}")
+
+
+def _per_source_sweep_estimate_store(structure, slack=1e-9):
+    """sweep_estimate_store as it was first written: one Dijkstra search
+    over the output edges below the scale from each dstar entry's smaller
+    point, and one over all output edges from each dlight entry's."""
+    space = structure.space
+    light = structure.light_edges()
+    failures = []
+
+    def alpha(i):
+        return 1.0 + KAPPA * i * structure.eps_small
+
+    weighted = [(a, b, space.distance(a, b)) for a, b in light]
+    adj = build_adjacency(weighted)
+    full_from = {}
+    by_scale = {}
+    for a, b, w in weighted:
+        by_scale.setdefault(scale_of(w), []).append((a, b, w))
+    sub_adj_cache = {}
+
+    def adjacency_below(s):
+        if s not in sub_adj_cache:
+            sub = [e for t, es in by_scale.items() if t < s for e in es]
+            sub_adj_cache[s] = build_adjacency(sub)
+        return sub_adj_cache[s]
+
+    groups = {}
+    for (u, v), est in structure.estimates.dstar.items():
+        s = scale_of(space.distance(u, v))
+        groups.setdefault((s, u), []).append((v, est))
+    for s, u in sorted(groups):
+        dmap = dijkstra(adjacency_below(s), u)
+        for v, est in groups[(s, u)]:
+            exact = dmap.get(v, INF)
+            if not coarse_approx_ok(est, exact, alpha(s), float(1 << s), slack):
+                failures.append(f"dstar {u} {v} est={est!r} exact={exact!r} scale={s}")
+    for (u, v), est in sorted(structure.estimates.dlight.items()):
+        if u not in full_from:
+            full_from[u] = dijkstra(adj, u)
+        exact = full_from[u].get(v, INF)
+        s = scale_of(space.distance(u, v))
+        base = float(1 << (s + 2))
+        if not coarse_approx_ok(est, exact, alpha(s + 2), base, slack):
+            failures.append(f"dlight {u} {v} est={est!r} exact={exact!r} scale={s}")
+    return failures
+
+
+def test_sweep_estimate_store_matches_the_per_source_reference():
+    # clean states of a seeded run in the plane, and the same states with
+    # estimates pushed below, just above and far above their truth; only
+    # the exact values may differ, as their sums run in another order
+    rng = random.Random(17)
+
+    def verdicts(messages):
+        return [m.split(" exact=")[0] + " " + m.split(" scale=")[1] for m in messages]
+
+    space = MetricSpace(2, 128.0)
+    structure = DynamicLightSpanner(space, 0.5, mode="fast")
+    dense = structure.dense
+    alive = []
+    states = flagged = 0
+    for pid in range(40):
+        if len(alive) > 10 and rng.random() < 0.35:
+            structure.delete(alive.pop(rng.randrange(len(alive))))
+        else:
+            c = (rng.uniform(0, 85), rng.uniform(0, 85))
+            if any(math.dist(c, space.coords(y)) < 1.0 for y in alive):
+                continue
+            structure.insert(pid, c)
+            alive.append(pid)
+        if pid % 4:
+            continue
+        assert sweep_estimate_store(structure) == []
+        assert _per_source_sweep_estimate_store(structure) == []
+        saved = dense.dstar.copy(), dense.dlight.copy()
+        for table in (dense.dstar, dense.dlight):
+            a, b = np.nonzero(np.triu(~np.isnan(table), 1))
+            for k in rng.sample(range(len(a)), min(len(a), 6)):
+                value = table[a[k], b[k]]
+                table[a[k], b[k]] = table[b[k], a[k]] = rng.choice(
+                    [0.0, value * (1.0 + 1e-6), value * 1.5, INF]
+                )
+        got = sweep_estimate_store(structure)
+        want = _per_source_sweep_estimate_store(structure)
+        assert verdicts(got) == verdicts(want)
+        dense.dstar[:], dense.dlight[:] = saved
+        states += 1
+        flagged += len(got)
+    assert states > 6 and flagged > 20
 
 
 # -- reference greedy spanner ----------------------------------------------------
